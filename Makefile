@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint fmt-check generate-check bench-codec fuzz-smoke bench-smoke bench-json fuzz-campaign integration cover ci
+.PHONY: build test race vet lint fmt-check generate-check bench-codec fuzz-smoke bench-smoke bench-json bench-check fuzz-campaign integration cover ci
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,16 @@ bench-json:
 	cp BENCH_*.json bench-out/
 	./bin/benchjson gate -baseline bench-out/baseline -fresh .
 
+# The repository benchmark (BENCHMARK.json, benchmark/) is a module of its
+# own, outside the root ./..., so nothing above builds or runs it. Its tests
+# plus one quick pass of every workload run each workload's own checks: op-0
+# counters equal to sequential cosim.Run, bughunt mismatch and
+# Replay.Detailed equal to the sequential oracle, pool balance, router
+# sessions reaped, no leaked goroutine. run.sh fails on any "correct":false.
+bench-check:
+	$(GO) -C benchmark test .
+	bash benchmark/run.sh -quick
+
 # Coverage-guided fuzzer smoke, through the real CLI: a clean cold-corpus
 # campaign whose checkpoint round-trips through min and repro, then a
 # rediscovery drill that must find the injected bug within the budget (the
@@ -116,4 +126,4 @@ integration:
 cover:
 	./scripts/coverfloor.sh
 
-ci: build test race vet lint fmt-check generate-check bench-codec fuzz-smoke bench-smoke bench-json fuzz-campaign cover integration
+ci: build test race vet lint fmt-check generate-check bench-codec fuzz-smoke bench-smoke bench-json bench-check fuzz-campaign cover integration

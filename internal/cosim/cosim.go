@@ -218,6 +218,23 @@ var ErrCycleLimit = errors.New("cycle limit exceeded")
 
 // Run executes one co-simulation end to end.
 func Run(p Params) (*Result, error) {
+	r, err := newRunner(p)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.loop(); err != nil {
+		if p.RemoteAddr != "" && errors.Is(err, transport.ErrSessionLost) {
+			return degrade(p, r, err)
+		}
+		return nil, err
+	}
+	r.finish()
+	return r.res, nil
+}
+
+// newRunner validates p, applies its defaults and overrides, and builds both
+// sides of the run.
+func newRunner(p Params) (*runner, error) {
 	if p.MaxCycles == 0 {
 		p.MaxCycles = 100_000_000
 	}
@@ -240,36 +257,17 @@ func Run(p Params) (*Result, error) {
 		return nil, fmt.Errorf("cosim: %w", err)
 	}
 	prog := workload.Generate(p.Workload, p.DUT.Cores, p.Seed)
-	d := dut.New(p.DUT, prog.Image, prog.Entries, p.Hooks)
-	chk := checker.New(prog.Image, prog.Entries, p.DUT.Cores)
-	enabled := p.DUT.EnabledKinds()
-
-	dutHz := p.Platform.DUTOnlyHz(p.DUT.GatesM)
-	link := comm.NewLink(p.Platform, dutHz, opt.NonBlocking)
-
-	res := &Result{
-		Config:   opt.Name(),
-		DUTName:  p.DUT.Name,
-		Platform: p.Platform.Name,
+	r := &runner{
+		p: p, opt: opt,
+		d:    dut.New(p.DUT, prog.Image, prog.Entries, p.Hooks),
+		link: comm.NewLink(p.Platform, p.Platform.DUTOnlyHz(p.DUT.GatesM), opt.NonBlocking),
+		res:  &Result{Config: opt.Name(), DUTName: p.DUT.Name, Platform: p.Platform.Name},
 	}
-
-	r := &runner{p: p, opt: opt, d: d, chk: chk, link: link, res: res, enabled: enabled}
+	if p.RemoteAddr == "" {
+		r.half = newCheckerSession(opt, p.DUT, checker.New(prog.Image, prog.Entries, p.DUT.Cores))
+	}
 	r.setup()
-	loop := r.loop
-	switch {
-	case p.RemoteAddr != "":
-		loop = r.loopRemote
-	case opt.Executed:
-		loop = r.loopExecuted
-	}
-	if err := loop(); err != nil {
-		if p.RemoteAddr != "" && errors.Is(err, transport.ErrSessionLost) {
-			return degrade(p, r, err)
-		}
-		return nil, err
-	}
-	r.finish(dutHz)
-	return res, nil
+	return r, nil
 }
 
 // degrade reruns a remote co-simulation in-process after its session was
@@ -290,38 +288,29 @@ func degrade(p Params, failed *runner, cause error) (*Result, error) {
 		res.Exec = &pipeline.Metrics{}
 	}
 	res.Exec.DegradedRuns = 1
-	res.Exec.Reconnects = failed.remoteReconnects
-	res.Exec.ReplayedFrames = failed.remoteReplayed
-	res.Exec.Migrations = failed.remoteMigrations
+	if m := failed.res.Exec; m != nil {
+		res.Exec.Reconnects, res.Exec.ReplayedFrames, res.Exec.Migrations = m.Reconnects, m.ReplayedFrames, m.Migrations
+	}
 	return res, nil
 }
 
+// runner is one co-simulation: the hardware side it always owns (DUT,
+// acceleration unit, modeled link, replay buffer) and — unless the software
+// side lives in a remote difftestd — the software half it checks with.
 type runner struct {
-	p       Params
-	opt     Options
-	d       *dut.DUT
-	chk     *checker.Checker
-	link    *comm.Link
-	res     *Result
-	enabled [event.NumKinds]bool
+	p    Params
+	opt  Options
+	d    *dut.DUT
+	link *comm.Link
+	res  *Result
 
 	fusers []*squash.Fuser
-	desq   *squash.Desquasher
 	rbuf   *replay.Buffer
-	rctls  []*replay.Controller
+	packer *batch.Packer
+	fixed  *batch.FixedPacker
 
-	packer   *batch.Packer
-	unpacker *batch.Unpacker
-	fixed    *batch.FixedPacker
-	fixedRx  []byte
-
-	// Remote-client accounting snapshotted by loopRemote even when the run
-	// fails, so a degraded rerun can report the failed link's history.
-	remoteReconnects uint64
-	remoteReplayed   uint64
-	remoteMigrations uint64
-
-	stop bool
+	half  *CheckerSession      // nil on remote runs
+	rctls []*replay.Controller // Replay, one per core of half's checker
 }
 
 func (r *runner) setup() {
@@ -335,29 +324,31 @@ func (r *runner) setup() {
 			r.fusers = append(r.fusers, squash.NewFuser(scfg, uint8(i)))
 		}
 		r.rbuf = replay.NewBuffer(r.p.ReplayBufCap)
-		r.desq = squash.NewDesquasher(r.chk, r.enabled)
-		for _, cc := range r.chk.Cores {
-			r.rctls = append(r.rctls, replay.NewController(cc, r.rbuf))
-		}
-		r.desq.OnWindow = func(core uint8, fc wire.FusedCommit) {
-			r.rctls[core].Checkpoint(fc.StartToken)
+		if r.half != nil {
+			// Replay needs the REF on this side of the link: checkpoint it
+			// at every fusion-window start the reorderer is about to check.
+			for _, cc := range r.half.chk.Cores {
+				r.rctls = append(r.rctls, replay.NewController(cc, r.rbuf))
+			}
+			r.half.desq.OnWindow = func(core uint8, fc wire.FusedCommit) {
+				r.rctls[core].Checkpoint(fc.StartToken)
+			}
 		}
 	}
 	if r.opt.Batch {
 		if r.opt.FixedOffset {
-			layout := batch.NewFixedLayout(r.p.DUT.EventKinds, maxInt(1, r.p.DUT.BurstMax))
+			layout := batch.NewFixedLayout(r.p.DUT.EventKinds, max(1, r.p.DUT.BurstMax))
 			r.fixed = batch.NewFixedPacker(layout, r.p.Platform.PacketBytes)
 		} else {
 			r.packer = batch.NewPacker(r.p.Platform.PacketBytes)
-			r.unpacker = &batch.Unpacker{}
 		}
 	}
 }
 
 // cancelled reports the run's cooperative-cancellation state (Params.Ctx):
-// nil while the run may continue, ctx.Err() once cancelled. Both the
-// sequential cycle loop and the executed producer stage poll it, so an
-// interrupt drains pooled packet buffers through the normal release paths.
+// nil while the run may continue, ctx.Err() once cancelled. The hardware
+// side polls it every cycle, so an interrupt drains pooled packet buffers
+// through the normal release paths.
 func (r *runner) cancelled() error {
 	if r.p.Ctx == nil {
 		return nil
@@ -370,49 +361,87 @@ func (r *runner) cancelled() error {
 	}
 }
 
-func (r *runner) loop() error {
-	for cycle := uint64(0); cycle < r.p.MaxCycles && !r.stop; cycle++ {
-		if err := r.cancelled(); err != nil {
-			return err
-		}
-		recs, done := r.d.StepCycle()
-		r.link.AdvanceCycle()
-		if r.p.Trace != nil {
-			if err := r.p.Trace.WriteCycle(r.d.CycleCount, recs); err != nil {
-				return err
-			}
-		}
+// cycleLimitErr is the error of a run that reached Params.MaxCycles before
+// the DUT's trap.
+func (r *runner) cycleLimitErr() error {
+	return fmt.Errorf("cosim: %s did not finish within %d cycles: %w", r.p.DUT.Name, r.p.MaxCycles, ErrCycleLimit)
+}
 
-		items, err := r.hardwareSide(recs)
-		if err != nil {
-			return err
-		}
-		if err := r.transport(items, false); err != nil {
-			return err
-		}
-		if done {
-			if err := r.flushAll(); err != nil {
-				return err
-			}
-			r.res.Finished = true
-			_, r.res.TrapCode = r.chk.Finished()
-			return nil
-		}
+// sink is the software side as the driver sees it, and the driver's only
+// variable: the half checked inline or behind the executed pipeline
+// (halfSink), or a networked client streaming to a difftestd (remoteSink).
+type sink interface {
+	// transfer consumes one transfer and owns its packet buffer. stop=true
+	// means the stream has a verdict and production should cease.
+	transfer(x xfer) (stop bool, err error)
+	// finish ends a stream that ran without error — end-of-stream flush
+	// included — and returns its verdict.
+	finish() (transport.Final, error)
+	// close releases the sink on every exit path.
+	close()
+}
+
+// newSink picks the software side: a difftestd across Params.RemoteAddr, or
+// the in-process half.
+func (r *runner) newSink() (sink, error) {
+	if r.p.RemoteAddr != "" {
+		return dialRemoteSink(r)
 	}
-	if !r.stop {
-		return fmt.Errorf("cosim: %s did not finish within %d cycles: %w", r.p.DUT.Name, r.p.MaxCycles, ErrCycleLimit)
+	return newHalfSink(r), nil
+}
+
+// loop drives the hardware side into the sink until the DUT traps or the
+// sink reports a verdict. The sequential loop alternates the two sides on
+// this goroutine (hardware/software overlap is modeled by comm.Link only);
+// executed and remote runs stage them onto internal/pipeline, NonBlocking
+// mapped to a bounded in-flight queue and blocking mode to a per-transfer
+// handshake. Either way a mismatch ends the run at the first divergence.
+func (r *runner) loop() error {
+	s, err := r.newSink()
+	if err != nil {
+		return err
+	}
+	defer s.close()
+
+	prod := &hwProducer{r: r}
+	defer prod.releasePending()
+	if r.opt.Executed || r.p.RemoteAddr != "" {
+		r.res.Exec, err = pipeline.Run(prod.next, s.transfer, pipeline.Config{
+			NonBlocking: r.opt.NonBlocking,
+			QueueDepth:  r.p.Platform.QueueDepth,
+		}, dropXfer)
+	} else {
+		err = prod.runInline(s.transfer)
+	}
+	if err != nil {
+		return err
+	}
+	// Every stage has joined: replay's buffer reads and the link's
+	// replay-traffic accounting are single-threaded again.
+	fin, err := s.finish()
+	switch {
+	case err != nil:
+		return err
+	case fin.Mismatch != nil:
+		r.onMismatch(fin.Mismatch)
+	case !prod.finished:
+		// Only a remote verdict without a mismatch can stop the stream early
+		// without an error; the hardware side itself fails in next.
+		return r.cycleLimitErr()
+	default:
+		r.res.Finished, r.res.TrapCode = true, fin.TrapCode
 	}
 	return nil
 }
 
 // hardwareSide applies the acceleration unit: Squash fusion or plain item
 // conversion, with replay buffering of the original unfused events.
-func (r *runner) hardwareSide(recs []event.Record) ([]wire.Item, error) {
+func (r *runner) hardwareSide(recs []event.Record) []wire.Item {
 	if len(recs) == 0 {
-		return nil, nil
+		return nil
 	}
 	if !r.opt.Squash {
-		return wire.FromRecords(recs), nil
+		return wire.FromRecords(recs)
 	}
 	startTok := r.rbuf.Add(recs)
 	// Split per core, preserving order and token alignment.
@@ -430,161 +459,13 @@ func (r *runner) hardwareSide(recs []event.Record) ([]wire.Item, error) {
 			items = append(items, r.fusers[core].Cycle(coreRecs, toks)...)
 		}
 	}
-	return items, nil
+	return items
 }
 
-// transport moves items across the link per the configured mode and hands
-// them to the software side. Once a mismatch stops the run, nothing further
-// is transferred or checked: the co-simulation aborts at the first
-// divergence, like the lockstep path and the executed pipeline.
-func (r *runner) transport(items []wire.Item, flush bool) error {
-	if r.stop {
-		return nil
-	}
-	switch {
-	case r.opt.Batch && r.opt.FixedOffset:
-		pkts, err := r.fixed.AddCycle(items)
-		if err != nil {
-			releaseAll(pkts)
-			return err
-		}
-		if flush {
-			pkts = append(pkts, r.fixed.Flush()...)
-		}
-		for i, pkt := range pkts {
-			if r.stop {
-				// The run already diverged: the unsent packets still own
-				// pooled buffers and must go back.
-				releaseAll(pkts[i:])
-				return nil
-			}
-			r.link.Send(len(pkt.Buf), pkt.Events, pkt.Instrs)
-			if err := r.fixedReceive(pkt); err != nil {
-				releaseAll(pkts[i+1:])
-				return err
-			}
-		}
-	case r.opt.Batch:
-		pkts := r.packer.AddCycle(items)
-		if flush {
-			pkts = append(pkts, r.packer.Flush()...)
-		}
-		for i, pkt := range pkts {
-			if r.stop {
-				// The run already diverged: the unsent packets still own
-				// pooled buffers and must go back.
-				releaseAll(pkts[i:])
-				return nil
-			}
-			r.link.Send(len(pkt.Buf), pkt.Events, pkt.Instrs)
-			rx, err := r.unpacker.AddPacket(pkt.Buf)
-			// The unpacker copied every payload into its own arena, so the
-			// packet buffer can go back to the pool immediately.
-			pkt.Release()
-			if err != nil {
-				releaseAll(pkts[i+1:])
-				return err
-			}
-			if err := r.software(rx); err != nil {
-				releaseAll(pkts[i+1:])
-				return err
-			}
-		}
-		if flush && !r.stop {
-			if err := r.software(r.unpacker.Flush()); err != nil {
-				return err
-			}
-		}
-	default:
-		// Per-event transfers (one DPI-C call per event, paper §2.2).
-		for _, it := range items {
-			if r.stop {
-				return nil
-			}
-			r.link.Send(it.BaselineWireSize(), 1, it.InstrCount())
-			if err := r.software([]wire.Item{it}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// releaseAll returns every packet's pooled buffer. Used on early exits
-// (mismatch stop, decode error) where packed packets were never handed to
-// the software side.
-func releaseAll(pkts []batch.Packet) {
-	for i := range pkts {
-		pkts[i].Release()
-	}
-}
-
-func (r *runner) fixedReceive(pkt batch.Packet) error {
-	frames, err := r.fixedFrames(pkt)
-	if err != nil {
-		return err
-	}
-	for _, items := range frames {
-		if r.stop {
-			return nil
-		}
-		if err := r.software(items); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fixedFrames appends one fixed-offset packet to the reassembly buffer and
-// returns the frames it completes.
-func (r *runner) fixedFrames(pkt batch.Packet) ([][]wire.Item, error) {
-	r.fixedRx = append(r.fixedRx, pkt.Buf[:pkt.Used]...)
-	pkt.Release() // reassembly copied the bytes; recycle the packet buffer
-	frameSize := r.fixed.Layout.FrameSize
-	n := len(r.fixedRx) / frameSize * frameSize
-	if n == 0 {
-		return nil, nil
-	}
-	frames, err := batch.UnpackFixedStream(r.fixed.Layout, r.fixedRx[:n])
-	if err != nil {
-		return nil, err
-	}
-	r.fixedRx = append(r.fixedRx[:0], r.fixedRx[n:]...)
-	return frames, nil
-}
-
-// checkItem runs one wire item through the software checking path — the
-// Squash reorderer or the direct per-event checker.
-func (r *runner) checkItem(it wire.Item) (*checker.Mismatch, error) {
-	if r.opt.Squash {
-		return r.desq.Process(it), nil
-	}
-	rec, err := wire.ToRecord(it)
-	if err != nil {
-		return nil, err
-	}
-	return r.chk.Process(rec), nil
-}
-
-// software runs the checker (directly or through the Squash reorderer) and
-// triggers Replay on mismatch.
-func (r *runner) software(items []wire.Item) error {
-	for _, it := range items {
-		m, err := r.checkItem(it)
-		if err != nil {
-			return err
-		}
-		if m != nil {
-			r.onMismatch(m)
-			return nil
-		}
-	}
-	return nil
-}
-
+// onMismatch records the verdict and, when the REF is on this side of the
+// link, runs the Replay round trip.
 func (r *runner) onMismatch(m *checker.Mismatch) {
 	r.res.Mismatch = m
-	r.stop = true
 	if r.opt.Squash && !r.p.DisableReplay && int(m.Core) < len(r.rctls) {
 		// Replay round trip: notify hardware, retransmit the buffered
 		// range, reprocess at instruction granularity (paper Fig. 11).
@@ -594,34 +475,16 @@ func (r *runner) onMismatch(m *checker.Mismatch) {
 	}
 }
 
-func (r *runner) flushAll() error {
-	if r.opt.Squash {
-		for _, f := range r.fusers {
-			if err := r.transport(f.Flush(), false); err != nil {
-				return err
-			}
-		}
-	}
-	if err := r.transport(nil, true); err != nil {
-		return err
-	}
-	if r.opt.Squash && !r.stop {
-		if m := r.desq.Flush(); m != nil {
-			r.onMismatch(m)
-		}
-	}
-	return nil
-}
-
-func (r *runner) finish(dutHz float64) {
+func (r *runner) finish() {
 	res, d, link := r.res, r.d, r.link
+	dutHz := r.p.Platform.DUTOnlyHz(r.p.DUT.GatesM)
 	res.Cycles = d.CycleCount
 	res.Instrs = d.Instrs
 	res.DUTOnlyHz = dutHz
-	if r.p.RemoteAddr == "" {
+	if r.half != nil {
 		// In-process checking: snapshot the coverage signal directly. Remote
-		// runs already copied it from the closing verdict in loopRemote.
-		res.Coverage = r.chk.Coverage()
+		// runs already copied it from the closing verdict.
+		res.Coverage = r.half.CoverageSnapshot()
 	}
 
 	for _, n := range d.EventCount {
@@ -681,13 +544,6 @@ func (r *runner) finish(dutHz float64) {
 		res.Fusion.DiffBytes += f.Stats.DiffBytes
 		res.Fusion.RawState += f.Stats.RawState
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Summary renders the artifact-style one-line result.

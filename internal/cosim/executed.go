@@ -1,43 +1,39 @@
 package cosim
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/batch"
 	"repro/internal/checker"
-	"repro/internal/pipeline"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Executed co-simulation (Options.Executed): instead of the single-threaded
-// loop that models hardware/software overlap analytically, the run is
-// staged onto internal/pipeline — the DUT producer (monitor + acceleration
-// unit + modeled link accounting), the link, and the checker consumer run
-// in separate goroutines. Blocking configurations use the per-transfer
-// handshake; NonBlocking streams through a bounded queue sized by the
-// platform's QueueDepth. On multi-core DUTs the NonBlocking consumer
-// additionally fans items out to one checking goroutine per core (the
-// checker's per-core independence contract, see internal/checker).
+// The two ends of runner.loop. hwProducer is the hardware side — cycle →
+// fuse → pack → modeled link — emitting one transfer per call, whether the
+// caller is the sequential loop or the executed pipeline's producer stage.
+// halfSink puts the software half behind it in-process; on multi-core
+// executed NonBlocking runs it additionally fans items out to one checking
+// goroutine per core (the checker's per-core independence contract, see
+// internal/checker).
 //
-// The modeled simulated-time accounting is unchanged — the producer still
-// drives comm.Link — so an executed run reports both the analytic speed
-// (SpeedHz) and the measured wall-clock concurrency (Exec, ExecutedHz).
+// The modeled simulated-time accounting is the same in every mode — the
+// producer drives comm.Link — so an executed run reports both the analytic
+// speed (SpeedHz) and the measured wall-clock concurrency (Exec, ExecutedHz).
 
-// xfer is one transfer crossing the executed pipeline: a packed packet
-// (Batch/fixed-offset modes, pkt.Buf != nil) or bare wire items (per-event
-// baseline). The packet is held by value: a pointer into the producer's
-// packet slice would alias storage the producer may reuse while the consumer
-// goroutine is still reading.
+// xfer is one transfer crossing the link: a packed packet (Batch/fixed-offset
+// modes, pkt.Buf != nil) or bare wire items (per-event baseline). The packet
+// is held by value: a pointer into the producer's packet slice would alias
+// storage the producer may reuse while the consumer goroutine is still
+// reading.
 type xfer struct {
 	pkt   batch.Packet
 	items []wire.Item
 }
 
-// hwProducer is the hardware-side pipeline stage: it steps the DUT,
-// applies the acceleration unit, accounts the modeled link, and emits one
-// transfer per call.
+// hwProducer is the hardware side: it steps the DUT, applies the
+// acceleration unit, packs, and accounts the modeled link.
 type hwProducer struct {
 	r        *runner
 	pending  []xfer
@@ -54,7 +50,7 @@ func (p *hwProducer) next() (xfer, bool, error) {
 			return xfer{}, false, err
 		}
 		if r.d.CycleCount >= r.p.MaxCycles {
-			return xfer{}, false, fmt.Errorf("cosim: %s did not finish within %d cycles: %w", r.p.DUT.Name, r.p.MaxCycles, ErrCycleLimit)
+			return xfer{}, false, r.cycleLimitErr()
 		}
 		recs, done := r.d.StepCycle()
 		r.link.AdvanceCycle()
@@ -63,35 +59,52 @@ func (p *hwProducer) next() (xfer, bool, error) {
 				return xfer{}, false, err
 			}
 		}
-		items, err := r.hardwareSide(recs)
-		if err != nil {
+		if err := p.pack(r.hardwareSide(recs), false); err != nil {
 			return xfer{}, false, err
 		}
-		xs, err := p.pack(items, false)
-		if err != nil {
-			return xfer{}, false, err
-		}
-		p.pending = xs
 		if done {
 			p.finished = true
-			var tail []wire.Item
+			// Tail flush: each fuser's open window, packed in core order,
+			// then the packer's open packet.
 			for _, f := range r.fusers {
-				tail = append(tail, f.Flush()...)
+				if err := p.pack(f.Flush(), false); err != nil {
+					return xfer{}, false, err
+				}
 			}
-			xs, err := p.pack(tail, true)
-			if err != nil {
+			if err := p.pack(nil, true); err != nil {
 				return xfer{}, false, err
 			}
-			p.pending = append(p.pending, xs...)
 		}
 	}
 	x := p.pending[0]
 	p.pending = p.pending[1:]
+	// The modeled link is charged when a transfer leaves, not when it is
+	// packed: a run stopped at a mismatch releases the packets packed behind
+	// it without ever having sent them.
+	if x.pkt.Buf != nil {
+		r.link.Send(len(x.pkt.Buf), x.pkt.Events, x.pkt.Instrs)
+	} else {
+		r.link.Send(x.items[0].BaselineWireSize(), 1, x.items[0].InstrCount())
+	}
 	return x, true, nil
 }
 
+// runInline is the sequential driver: one goroutine alternates the hardware
+// side and the sink, transfer by transfer.
+func (p *hwProducer) runInline(transfer func(xfer) (bool, error)) error {
+	for {
+		x, ok, err := p.next()
+		if err != nil || !ok {
+			return err
+		}
+		if stop, err := transfer(x); err != nil || stop {
+			return err
+		}
+	}
+}
+
 // releasePending returns the pooled buffers of packed-but-untransferred
-// packets (the pipeline stopped early on a mismatch or an error).
+// packets (the run stopped early on a mismatch or an error).
 func (p *hwProducer) releasePending() {
 	for _, x := range p.pending {
 		dropXfer(x)
@@ -102,57 +115,52 @@ func (p *hwProducer) releasePending() {
 // dropXfer releases a transfer the consumer never saw — the pipeline's Drop
 // callback for transfers stranded in flight by an early stop.
 func dropXfer(x xfer) {
-	if x.pkt.Buf != nil {
-		x.pkt.Release()
-	}
+	x.pkt.Release()
 }
 
-// pack applies the configured transport packing and the modeled link cost,
-// mirroring runner.transport's hardware half.
-func (p *hwProducer) pack(items []wire.Item, flush bool) ([]xfer, error) {
+// pack queues items as transfers per the configured packing: fixed-offset
+// frames, tight packets, or one transfer per event (one DPI-C call per
+// event, paper §2.2). flush also closes the packer's open packet.
+func (p *hwProducer) pack(items []wire.Item, flush bool) error {
 	r := p.r
-	var out []xfer
+	var pkts []batch.Packet
 	switch {
-	case r.opt.Batch && r.opt.FixedOffset:
-		pkts, err := r.fixed.AddCycle(items)
-		if err != nil {
-			return nil, err
+	case !r.opt.Batch:
+		for _, it := range items {
+			p.pending = append(p.pending, xfer{items: []wire.Item{it}})
+		}
+	case r.opt.FixedOffset:
+		var err error
+		if pkts, err = r.fixed.AddCycle(items); err != nil {
+			for i := range pkts {
+				pkts[i].Release()
+			}
+			return err
 		}
 		if flush {
 			pkts = append(pkts, r.fixed.Flush()...)
 		}
-		for i := range pkts {
-			r.link.Send(len(pkts[i].Buf), pkts[i].Events, pkts[i].Instrs)
-			out = append(out, xfer{pkt: pkts[i]})
-		}
-	case r.opt.Batch:
-		pkts := r.packer.AddCycle(items)
+	default:
+		pkts = r.packer.AddCycle(items)
 		if flush {
 			pkts = append(pkts, r.packer.Flush()...)
 		}
-		for i := range pkts {
-			r.link.Send(len(pkts[i].Buf), pkts[i].Events, pkts[i].Instrs)
-			out = append(out, xfer{pkt: pkts[i]})
-		}
-	default:
-		for _, it := range items {
-			r.link.Send(it.BaselineWireSize(), 1, it.InstrCount())
-			out = append(out, xfer{items: []wire.Item{it}})
-		}
 	}
-	return out, nil
+	for _, pkt := range pkts {
+		p.pending = append(p.pending, xfer{pkt: pkt})
+	}
+	return nil
 }
 
-// swConsumer is the software-side pipeline stage: unpacking plus checking,
-// with per-core fan-out on multi-core NonBlocking runs. Mismatches from any
-// checking goroutine go through a checker.Collector, which resolves the
-// same winner the sequential stream order would.
-type swConsumer struct {
-	r   *runner
-	col checker.Collector
+// halfSink is the in-process sink: unpack, then check through the half —
+// inline, or fanned out per core. Mismatches from the checking goroutines go
+// through a checker.Collector, which resolves the same winner the sequential
+// stream order would.
+type halfSink struct {
+	half *CheckerSession
 
-	fanout  bool
-	chans   []chan wire.Item
+	col     checker.Collector
+	chans   []chan wire.Item // per-core fan-out; nil = check inline
 	wg      sync.WaitGroup
 	stopped atomic.Bool
 
@@ -160,175 +168,94 @@ type swConsumer struct {
 	err   error
 }
 
-func newSWConsumer(r *runner) *swConsumer {
-	c := &swConsumer{r: r}
-	if r.p.DUT.Cores > 1 && r.opt.NonBlocking {
-		c.fanout = true
-		c.chans = make([]chan wire.Item, r.p.DUT.Cores)
-		for i := range c.chans {
+func newHalfSink(r *runner) *halfSink {
+	s := &halfSink{half: r.half}
+	if r.opt.Executed && r.opt.NonBlocking && r.p.DUT.Cores > 1 {
+		s.chans = make([]chan wire.Item, r.p.DUT.Cores)
+		for i := range s.chans {
 			ch := make(chan wire.Item, 1024)
-			c.chans[i] = ch
-			c.wg.Add(1)
+			s.chans[i] = ch
+			s.wg.Add(1)
 			go func() {
-				defer c.wg.Done()
+				defer s.wg.Done()
 				for it := range ch {
-					if c.stopped.Load() {
+					if s.stopped.Load() {
 						continue // drain so the router never blocks
 					}
-					m, err := c.r.checkItem(it)
+					m, err := s.half.checkItem(it)
 					if err != nil {
-						c.fail(err)
-						continue
-					}
-					if m != nil {
-						c.col.Offer(m)
-						c.stopped.Store(true)
+						s.fail(err)
+					} else if m != nil {
+						s.col.Offer(m)
+						s.stopped.Store(true)
 					}
 				}
 			}()
 		}
 	}
-	return c
+	return s
 }
 
-func (c *swConsumer) fail(err error) {
-	c.errMu.Lock()
-	if c.err == nil {
-		c.err = err
+func (s *halfSink) fail(err error) {
+	s.errMu.Lock()
+	if s.err == nil {
+		s.err = err
 	}
-	c.errMu.Unlock()
-	c.stopped.Store(true)
+	s.errMu.Unlock()
+	s.stopped.Store(true)
 }
 
-func (c *swConsumer) firstErr() error {
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
-	return c.err
+func (s *halfSink) firstErr() error {
+	s.errMu.Lock()
+	defer s.errMu.Unlock()
+	return s.err
 }
 
-// sink consumes one transfer: unpack, then check (inline or fanned out).
-func (c *swConsumer) sink(x xfer) (bool, error) {
-	items, err := c.decode(x)
-	if err != nil {
-		return false, err
-	}
-	if !c.fanout {
-		return c.checkInline(items)
-	}
-	for _, it := range items {
-		if c.stopped.Load() {
-			break
-		}
-		if int(it.Core) >= len(c.chans) {
-			c.col.Offer(&checker.Mismatch{Core: it.Core, Detail: "item for unknown core"})
-			c.stopped.Store(true)
-			break
-		}
-		c.chans[it.Core] <- it
-	}
-	return c.stopped.Load(), c.firstErr()
-}
-
-// decode recovers wire items from a transfer, mirroring runner.transport's
-// software half (meta-guided unpacking or fixed-frame reassembly).
-func (c *swConsumer) decode(x xfer) ([]wire.Item, error) {
-	r := c.r
-	switch {
-	case x.pkt.Buf == nil:
-		return x.items, nil
-	case r.opt.FixedOffset:
-		frames, err := r.fixedFrames(x.pkt)
-		if err != nil {
-			return nil, err
-		}
-		var items []wire.Item
-		for _, f := range frames {
-			items = append(items, f...)
-		}
-		return items, nil
-	default:
-		items, err := r.unpacker.AddPacket(x.pkt.Buf)
-		// Payloads were copied into the unpacker's arena; recycle the buffer.
+func (s *halfSink) transfer(x xfer) (bool, error) {
+	items := x.items
+	if x.pkt.Buf != nil {
+		var err error
+		items, err = s.half.unpackPacket(x.pkt.Buf[:x.pkt.Used])
+		// Every payload was copied out; recycle the packet buffer.
 		x.pkt.Release()
-		return items, err
-	}
-}
-
-func (c *swConsumer) checkInline(items []wire.Item) (bool, error) {
-	for _, it := range items {
-		m, err := c.r.checkItem(it)
 		if err != nil {
 			return false, err
 		}
-		if m != nil {
-			c.col.Offer(m)
-			return true, nil
-		}
 	}
-	return false, nil
+	if s.chans == nil {
+		m, err := s.half.check(items)
+		return m != nil, err
+	}
+	for _, it := range items {
+		if s.stopped.Load() {
+			break
+		}
+		if int(it.Core) >= len(s.chans) {
+			s.col.Offer(&checker.Mismatch{Core: it.Core, Detail: "item for unknown core"})
+			s.stopped.Store(true)
+			break
+		}
+		s.chans[it.Core] <- it
+	}
+	return s.stopped.Load(), s.firstErr()
 }
 
-// close joins the per-core checking goroutines.
-func (c *swConsumer) close() {
-	for _, ch := range c.chans {
+// close joins the per-core checking goroutines; idempotent.
+func (s *halfSink) close() {
+	for _, ch := range s.chans {
 		close(ch)
 	}
-	c.wg.Wait()
+	s.chans = nil
+	s.wg.Wait()
 }
 
-// finish runs the software-side end-of-stream flush (unpacker tail, then
-// the reorderer's held-back checks), mirroring runner.flushAll.
-func (c *swConsumer) finish() error {
-	r := c.r
-	if r.opt.Batch && !r.opt.FixedOffset {
-		if _, err := c.checkInline(r.unpacker.Flush()); err != nil {
-			return err
-		}
+func (s *halfSink) finish() (transport.Final, error) {
+	s.close()
+	if err := s.firstErr(); err != nil {
+		return transport.Final{}, err
 	}
-	if r.opt.Squash && c.col.First() == nil {
-		if m := r.desq.Flush(); m != nil {
-			c.col.Offer(m)
-		}
+	if m := s.col.First(); m != nil {
+		s.half.mismatch = m
 	}
-	return nil
-}
-
-// loopExecuted is the executed-mode counterpart of runner.loop: it drives
-// the concurrent pipeline to completion, then applies mismatch/replay and
-// verdict accounting exactly as the sequential path would.
-func (r *runner) loopExecuted() error {
-	prod := &hwProducer{r: r}
-	cons := newSWConsumer(r)
-	m, err := pipeline.Run(prod.next, cons.sink, pipeline.Config{
-		NonBlocking: r.opt.NonBlocking,
-		QueueDepth:  r.p.Platform.QueueDepth,
-	}, dropXfer)
-	cons.close()
-	prod.releasePending()
-	if err == nil {
-		err = cons.firstErr()
-	}
-	if err != nil {
-		return err
-	}
-	r.res.Exec = m
-
-	if mm := cons.col.First(); mm != nil {
-		// The producer has joined: replay's buffer reads and the link's
-		// replay-traffic accounting are single-threaded again.
-		r.onMismatch(mm)
-		return nil
-	}
-	if !prod.finished {
-		return fmt.Errorf("cosim: %s did not finish within %d cycles: %w", r.p.DUT.Name, r.p.MaxCycles, ErrCycleLimit)
-	}
-	if err := cons.finish(); err != nil {
-		return err
-	}
-	r.res.Finished = true
-	_, r.res.TrapCode = r.chk.Finished()
-	if mm := cons.col.First(); mm != nil {
-		r.onMismatch(mm)
-	}
-	return nil
+	return s.half.Finish()
 }

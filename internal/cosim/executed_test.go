@@ -28,11 +28,32 @@ func executedParams(cfg string, executed bool) Params {
 // executed mode with the same verdict and cycle count as the modeled loop —
 // the two loops consume the identical event stream.
 func TestExecutedCleanAllConfigs(t *testing.T) {
+	type input struct {
+		name, cfg string
+		tweak     func(*Params)
+	}
+	var inputs []input
 	for _, cfg := range ConfigNames() {
-		cfg := cfg
-		t.Run(cfg, func(t *testing.T) {
-			seq := run(t, executedParams(cfg, false))
-			exe := run(t, executedParams(cfg, true))
+		inputs = append(inputs, input{name: cfg, cfg: cfg})
+	}
+	// The multi-fuser tail flush and the ablation packings are where two
+	// hardware sides could pack the end of the stream differently.
+	inputs = append(inputs,
+		input{"EBINSD-dual", "EBINSD", func(p *Params) { p.DUT = dut.XiangShanDefaultDual() }},
+		input{"EB-fixed", "EB", func(p *Params) { p.Opt.FixedOffset = true }},
+		input{"EBINSD-coupled", "EBINSD", func(p *Params) { p.Opt.CoupleOrder = true }},
+	)
+	for _, in := range inputs {
+		in := in
+		t.Run(in.name, func(t *testing.T) {
+			mk := func(executed bool) *Result {
+				p := executedParams(in.cfg, executed)
+				if in.tweak != nil {
+					in.tweak(&p)
+				}
+				return run(t, p)
+			}
+			seq, exe := mk(false), mk(true)
 			if exe.Mismatch != nil {
 				t.Fatalf("spurious executed mismatch: %v", exe.Mismatch)
 			}

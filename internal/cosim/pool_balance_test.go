@@ -30,10 +30,12 @@ func injectBit(n int) arch.Hooks {
 	}}
 }
 
-// TestTransportStopReleasesRemainingPackets drives transport() directly
-// into the leaked state: a multi-packet burst whose first packet's check
-// mismatches. Every packet after the stop was packed (owning a pooled
-// buffer) but never sent; the stop path must release them all.
+// TestTransportStopReleasesRemainingPackets drives the hardware-side
+// producer and the software half directly into the leaked state: a
+// multi-packet burst whose first packet's check mismatches. Every packet
+// after the stop was packed (owning a pooled buffer) but never sent; the
+// stop path must release them all, and the modeled link must not have been
+// charged for them.
 //
 // The unpacker holds a cycle group until a newer cycle tag proves it
 // complete, so the mismatch can only surface mid-burst if the burst's first
@@ -46,15 +48,17 @@ func TestTransportStopReleasesRemainingPackets(t *testing.T) {
 	prog := workload.Generate(scaled(workload.LinuxBoot(), 1_000), 1, 1)
 	plat := platform.Palladium()
 	p := Params{DUT: dut.XiangShanDefault(), Platform: plat}
+	opt := Options{Batch: true}
 	r := &runner{
 		p:    p,
-		opt:  Options{Batch: true},
-		chk:  checker.New(prog.Image, prog.Entries, 1),
+		opt:  opt,
+		half: newCheckerSession(opt, p.DUT, checker.New(prog.Image, prog.Entries, 1)),
 		link: comm.NewLink(plat, plat.DUTOnlyHz(p.DUT.GatesM), false),
 		res:  &Result{},
 	}
 	r.packer = batch.NewPacker(batch.MinPacketBytes)
-	r.unpacker = &batch.Unpacker{}
+	prod := &hwProducer{r: r, finished: true} // pre-packed bursts only; never step a DUT
+	sink := newHalfSink(r)
 
 	bogus := func(n, base int) []event.Record {
 		var recs []event.Record
@@ -68,30 +72,48 @@ func TestTransportStopReleasesRemainingPackets(t *testing.T) {
 
 	gets0, puts0 := event.PoolStats()
 	// Cycle 1: three bogus commits — too small to close a packet, so they
-	// sit in the packer's open packet and no check runs yet.
-	if err := r.transport(wire.FromRecords(bogus(3, 0)), false); err != nil {
-		t.Fatalf("transport (priming cycle): %v", err)
+	// sit in the packer's open packet and nothing is queued yet.
+	if err := prod.pack(wire.FromRecords(bogus(3, 0)), false); err != nil {
+		t.Fatalf("pack (priming cycle): %v", err)
 	}
-	if r.stop {
-		t.Fatal("priming cycle emitted a packet and stopped the run early; test setup is wrong")
+	if len(prod.pending) != 0 {
+		t.Fatal("priming cycle emitted a packet; test setup is wrong")
 	}
 	// Cycle 2: enough commits to fill several minimum-size packets behind
 	// the mismatch.
-	if err := r.transport(wire.FromRecords(bogus(400, 3)), true); err != nil {
-		t.Fatalf("transport: %v", err)
+	if err := prod.pack(wire.FromRecords(bogus(400, 3)), true); err != nil {
+		t.Fatalf("pack: %v", err)
 	}
-	if !r.stop || r.res.Mismatch == nil {
+	consumed := uint64(0)
+	err := prod.runInline(func(x xfer) (bool, error) {
+		consumed++
+		return sink.transfer(x)
+	})
+	if err != nil {
+		t.Fatalf("drive: %v", err)
+	}
+	stranded := len(prod.pending)
+	prod.releasePending()
+	fin, err := sink.finish()
+	if err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	if fin.Mismatch == nil {
 		t.Fatal("bogus commits did not stop the run; the abort path was never exercised")
 	}
 	gets1, puts1 := event.PoolStats()
 	gets, puts := gets1-gets0, puts1-puts0
-	t.Logf("pool traffic across aborted burst: %d gets, %d puts", gets, puts)
-	if gets < 3 {
-		t.Fatalf("burst packed only %d packet(s); need >= 3 to exercise the stop path", gets)
+	t.Logf("pool traffic across aborted burst: %d gets, %d puts; %d transfer(s) consumed, %d stranded",
+		gets, puts, consumed, stranded)
+	if gets < 3 || stranded == 0 {
+		t.Fatalf("burst packed %d packet(s), %d stranded; need >= 3 with some behind the stop", gets, stranded)
 	}
 	if gets != puts {
-		t.Fatalf("transport leaked %d of %d packet buffer(s) on the mismatch stop path",
-			int64(gets)-int64(puts), gets)
+		t.Fatalf("stop path leaked %d of %d packet buffer(s)", int64(gets)-int64(puts), gets)
+	}
+	if r.link.Invokes != consumed {
+		t.Fatalf("link charged %d transfer(s), %d consumed: stranded packets must never be charged",
+			r.link.Invokes, consumed)
 	}
 }
 
@@ -100,7 +122,7 @@ func TestTransportStopReleasesRemainingPackets(t *testing.T) {
 // run stops at the first divergence, the packets that were packed but never
 // handed to the software side must still return their pooled buffers. The
 // pool's get/put counters must balance across the whole run — this fails if
-// any early-return path in transport() drops a packet without Release.
+// any early-exit path of the driver drops a packet without Release.
 func TestMismatchAbortReleasesPacketBuffers(t *testing.T) {
 	cases := []struct {
 		name string

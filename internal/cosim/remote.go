@@ -3,7 +3,6 @@ package cosim
 import (
 	"fmt"
 
-	"repro/internal/pipeline"
 	"repro/internal/transport"
 	"repro/internal/workload"
 
@@ -16,7 +15,7 @@ import (
 // Remote co-simulation (Params.RemoteAddr): the hardware side — DUT monitor,
 // acceleration unit, modeled link accounting — runs locally exactly as in
 // the executed pipeline, but the software side lives in a difftestd server
-// across a real socket. The pipeline's consumer stage becomes the network
+// across a real link. The pipeline's consumer stage becomes the network
 // send under the server's token window, so Result.Exec measures networked
 // wall-clock throughput (ExecutedHz) and the token-window stalls surface as
 // pipeline.Metrics.TokenStalls.
@@ -54,70 +53,55 @@ func (r *runner) helloFor() transport.Hello {
 	return h
 }
 
-// loopRemote drives the concurrent pipeline with the networked consumer:
-// the producer stage is the local hardware side, the sink streams each
-// transfer to the server and stops when a verdict frame arrives.
-func (r *runner) loopRemote() error {
+// remoteSink is the networked sink: each transfer streams to the server
+// under its token window, and the verdict comes back in the closing frames.
+type remoteSink struct {
+	r  *runner
+	cl *transport.Client
+}
+
+func dialRemoteSink(r *runner) (sink, error) {
 	cl, err := transport.Dial(r.p.RemoteAddr, r.helloFor(), r.p.RemoteCfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer cl.Close()
-	// Snapshot the link's recovery history on the way out — even when the
-	// run fails (a degraded rerun reports how many resumes the session
-	// survived before the budget ran out), and again after Finish, which
-	// can itself trigger resumes while awaiting the verdict.
-	defer func() {
-		r.remoteReconnects = cl.Reconnects()
-		r.remoteReplayed = cl.ReplayedFrames()
-		r.remoteMigrations = cl.Migrations()
-		if r.res.Exec != nil {
-			r.res.Exec.Reconnects = r.remoteReconnects
-			r.res.Exec.ReplayedFrames = r.remoteReplayed
-			r.res.Exec.Migrations = r.remoteMigrations
-		}
-	}()
+	return &remoteSink{r: r, cl: cl}, nil
+}
 
-	prod := &hwProducer{r: r}
-	sink := func(x xfer) (bool, error) {
-		if x.pkt.Buf != nil {
-			return cl.SendPacket(x.pkt)
-		}
-		return cl.SendItems(x.items)
+func (s *remoteSink) transfer(x xfer) (bool, error) {
+	if x.pkt.Buf != nil {
+		return s.cl.SendPacket(x.pkt)
 	}
-	m, err := pipeline.Run(prod.next, sink, pipeline.Config{
-		NonBlocking: r.opt.NonBlocking,
-		QueueDepth:  r.p.Platform.QueueDepth,
-	}, dropXfer)
-	prod.releasePending()
-	if err != nil {
-		return err
-	}
+	return s.cl.SendItems(x.items)
+}
+
+func (s *remoteSink) finish() (transport.Final, error) {
+	m, cl := s.r.res.Exec, s.cl
 	m.TokenStalls = cl.Stalls()
-	m.Reconnects = cl.Reconnects()
-	m.ReplayedFrames = cl.ReplayedFrames()
-	m.Migrations = cl.Migrations()
 	ls := cl.LinkStats()
 	m.RingParks = ls.WriterParks + ls.ReaderParks
-	r.res.Exec = m
 
 	v, err := cl.Finish()
 	if err != nil {
-		return err
+		return transport.Final{}, err
 	}
-	r.res.Coverage = v.Coverage
-	if v.Mismatch != nil {
+	s.r.res.Coverage = v.Coverage
+	switch {
+	case v.Mismatch != nil:
 		// Remote diagnosis, no replay (see package comment above).
-		r.res.Mismatch = v.Mismatch.ToChecker()
-		return nil
+		return transport.Final{Mismatch: v.Mismatch.ToChecker()}, nil
+	case !v.Finished:
+		return transport.Final{}, fmt.Errorf("cosim: server closed session %d without finishing", cl.Session())
 	}
-	if !prod.finished {
-		return fmt.Errorf("cosim: %s did not finish within %d cycles: %w", r.p.DUT.Name, r.p.MaxCycles, ErrCycleLimit)
-	}
-	if !v.Finished {
-		return fmt.Errorf("cosim: server closed session %d without finishing", cl.Session())
-	}
-	r.res.Finished = true
-	r.res.TrapCode = v.TrapCode
-	return nil
+	return transport.Final{TrapCode: v.TrapCode}, nil
+}
+
+// close snapshots the link's recovery history into Result.Exec on the way
+// out — even when the run fails (a degraded rerun reports how many resumes
+// the session survived before the budget ran out), and after Finish, which
+// can itself trigger resumes while awaiting the verdict.
+func (s *remoteSink) close() {
+	m, cl := s.r.res.Exec, s.cl
+	m.Reconnects, m.ReplayedFrames, m.Migrations = cl.Reconnects(), cl.ReplayedFrames(), cl.Migrations()
+	cl.Close()
 }

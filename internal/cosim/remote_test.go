@@ -20,7 +20,9 @@ import (
 // the remote loopback benchmarks share it.
 func startLoopbackServer(t testing.TB, cfg transport.ServerConfig) (*transport.Server, string) {
 	t.Helper()
-	cfg.NewSession = NewSession
+	if cfg.NewSession == nil {
+		cfg.NewSession = NewSession
+	}
 	srv := transport.NewServer(cfg)
 	spec := "unix:" + filepath.Join(t.TempDir(), "difftestd.sock")
 	l, err := transport.Listen(spec)

@@ -13,12 +13,15 @@ import (
 	"repro/internal/workload"
 )
 
-// CheckerSession is the server-side software half of one networked DUT
-// session: meta-guided unpacking (or fixed-frame reassembly), the Squash
-// reorderer, and one REF+checker — everything runner's software side does,
-// minus the Replay round trip (the replay buffer lives in the client's
-// hardware, so remote mismatches report the diagnosis without replay).
-// It implements transport.SessionChecker; difftestd builds one per session.
+// CheckerSession is the software half of a co-simulation (paper Figure
+// 3/12): meta-guided unpacking or fixed-frame reassembly, the Squash
+// reorderer, one REF+checker, and the end-of-stream flush. There is exactly
+// one, whatever link sits in front of it: the runner drives it inline
+// (sequential loop) or from the pipeline's consumer stage (executed mode),
+// and difftestd builds one per networked session through NewSession
+// (transport.SessionChecker). The Replay round trip is not part of it — the
+// replay buffer is hardware-side, so the runner wires its controllers to the
+// half it owns and a remote mismatch reports the diagnosis without replay.
 type CheckerSession struct {
 	opt     Options
 	chk     *checker.Checker
@@ -29,6 +32,22 @@ type CheckerSession struct {
 
 	mismatch *checker.Mismatch
 	events   uint64
+}
+
+// newCheckerSession builds the half for one option set over a fresh checker.
+func newCheckerSession(opt Options, d dut.Config, chk *checker.Checker) *CheckerSession {
+	s := &CheckerSession{opt: opt, chk: chk}
+	if opt.Squash {
+		s.desq = squash.NewDesquasher(chk, d.EnabledKinds())
+	}
+	if opt.Batch {
+		if opt.FixedOffset {
+			s.layout = batch.NewFixedLayout(d.EventKinds, max(1, d.BurstMax))
+		} else {
+			s.unpack = &batch.Unpacker{}
+		}
+	}
+	return s
 }
 
 // NewSession resolves a handshake into a fresh checker session. Both ends
@@ -69,21 +88,7 @@ func NewSession(h transport.Hello) (transport.SessionChecker, error) {
 	}
 
 	prog := workload.Generate(wl, d.Cores, h.Seed)
-	s := &CheckerSession{
-		opt: opt,
-		chk: checker.New(prog.Image, prog.Entries, d.Cores),
-	}
-	if opt.Squash {
-		s.desq = squash.NewDesquasher(s.chk, d.EnabledKinds())
-	}
-	if opt.Batch {
-		if opt.FixedOffset {
-			s.layout = batch.NewFixedLayout(d.EventKinds, maxInt(1, d.BurstMax))
-		} else {
-			s.unpack = &batch.Unpacker{}
-		}
-	}
-	return s, nil
+	return newCheckerSession(opt, d, checker.New(prog.Image, prog.Entries, d.Cores)), nil
 }
 
 // dutByName resolves a handshake DUT name against the configured designs.
@@ -100,25 +105,25 @@ func dutByName(name string) (dut.Config, bool) {
 // unpacker (or the fixed-frame reassembly) copies every payload it keeps, so
 // the caller releases buf immediately after return.
 func (s *CheckerSession) Packet(buf []byte) (*checker.Mismatch, error) {
-	if !s.opt.Batch {
-		return nil, fmt.Errorf("cosim: packet frame on a per-event (%s) session", s.opt.Name())
-	}
-	if s.opt.FixedOffset {
-		return s.fixedPacket(buf)
-	}
-	items, err := s.unpack.AddPacket(buf)
+	items, err := s.unpackPacket(buf)
 	if err != nil {
 		return nil, err
 	}
 	return s.check(items)
 }
 
-// fixedPacket mirrors runner.fixedFrames: append to the reassembly buffer,
-// unpack every complete frame.
-func (s *CheckerSession) fixedPacket(buf []byte) (*checker.Mismatch, error) {
+// unpackPacket recovers the wire items one packet completes: meta-guided
+// unpacking for tight packing, or — fixed-offset — appending to the
+// reassembly buffer and unpacking every whole frame it now holds.
+func (s *CheckerSession) unpackPacket(buf []byte) ([]wire.Item, error) {
+	switch {
+	case !s.opt.Batch:
+		return nil, fmt.Errorf("cosim: packet frame on a per-event (%s) session", s.opt.Name())
+	case !s.opt.FixedOffset:
+		return s.unpack.AddPacket(buf)
+	}
 	s.fixedRx = append(s.fixedRx, buf...)
-	frameSize := s.layout.FrameSize
-	n := len(s.fixedRx) / frameSize * frameSize
+	n := len(s.fixedRx) / s.layout.FrameSize * s.layout.FrameSize
 	if n == 0 {
 		return nil, nil
 	}
@@ -127,12 +132,11 @@ func (s *CheckerSession) fixedPacket(buf []byte) (*checker.Mismatch, error) {
 		return nil, err
 	}
 	s.fixedRx = append(s.fixedRx[:0], s.fixedRx[n:]...)
-	for _, items := range frames {
-		if m, err := s.check(items); m != nil || err != nil {
-			return m, err
-		}
+	var items []wire.Item
+	for _, f := range frames {
+		items = append(items, f...)
 	}
-	return nil, nil
+	return items, nil
 }
 
 // Items consumes bare wire items (the per-event baseline config).
@@ -140,23 +144,31 @@ func (s *CheckerSession) Items(items []wire.Item) (*checker.Mismatch, error) {
 	return s.check(items)
 }
 
-// check runs items through the Squash reorderer or the direct checker,
-// stopping at the first divergence like every other checking path.
+// checkItem runs one wire item through the Squash reorderer or the direct
+// per-event checker. It touches only the item's core, so the executed
+// pipeline's per-core fan-out may call it from one goroutine per core.
+func (s *CheckerSession) checkItem(it wire.Item) (*checker.Mismatch, error) {
+	if s.opt.Squash {
+		return s.desq.Process(it), nil
+	}
+	rec, err := wire.ToRecord(it)
+	if err != nil {
+		return nil, err
+	}
+	return s.chk.Process(rec), nil
+}
+
+// check runs items in stream order, stopping at the first divergence: once
+// the stream has diverged nothing further is checked.
 func (s *CheckerSession) check(items []wire.Item) (*checker.Mismatch, error) {
 	if s.mismatch != nil {
 		return nil, nil // stream already diverged; drain without checking
 	}
 	for _, it := range items {
 		s.events++
-		var m *checker.Mismatch
-		if s.opt.Squash {
-			m = s.desq.Process(it)
-		} else {
-			rec, err := wire.ToRecord(it)
-			if err != nil {
-				return nil, err
-			}
-			m = s.chk.Process(rec)
+		m, err := s.checkItem(it)
+		if err != nil {
+			return nil, err
 		}
 		if m != nil {
 			s.mismatch = m
@@ -166,19 +178,16 @@ func (s *CheckerSession) check(items []wire.Item) (*checker.Mismatch, error) {
 	return nil, nil
 }
 
-// Finish flushes the unpacker tail and the reorderer's held-back checks,
-// then reports the final verdict — runner.flushAll's software half.
+// Finish is the end-of-stream flush — the unpacker's tail, then the
+// reorderer's held-back checks — and reports the final verdict.
 func (s *CheckerSession) Finish() (transport.Final, error) {
 	if s.opt.Batch && !s.opt.FixedOffset {
-		if m, err := s.check(s.unpack.Flush()); m != nil || err != nil {
-			return transport.Final{Mismatch: m}, err
+		if _, err := s.check(s.unpack.Flush()); err != nil {
+			return transport.Final{}, err
 		}
 	}
 	if s.opt.Squash && s.mismatch == nil {
-		if m := s.desq.Flush(); m != nil {
-			s.mismatch = m
-			return transport.Final{Mismatch: m}, nil
-		}
+		s.mismatch = s.desq.Flush()
 	}
 	if s.mismatch != nil {
 		return transport.Final{Mismatch: s.mismatch}, nil

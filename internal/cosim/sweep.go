@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -18,54 +19,17 @@ import (
 // share memory — this is the sweep runner behind multi-configuration
 // experiments (configs × workloads × DUTs), scaling them across host cores.
 //
-// workers ≤ 0 selects GOMAXPROCS. The first error encountered is returned;
-// remaining queued runs are skipped (in-flight ones complete).
+// workers ≤ 0 selects GOMAXPROCS. Once a run fails, the runs not yet started
+// are skipped (in-flight ones complete) and the lowest-index error is
+// returned.
 func RunConcurrent(ps []Params, workers int) ([]*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ps) {
-		workers = len(ps)
-	}
-	results := make([]*Result, len(ps))
-	if len(ps) == 0 {
-		return results, nil
-	}
-
-	jobs := make(chan int)
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res, err := Run(ps[i])
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					results[i] = res
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for i := range ps {
-		mu.Lock()
-		stop := firstErr != nil
-		mu.Unlock()
-		if stop {
-			break
+	results, errs := runPool(ps, workers, true)
+	for _, err := range errs {
+		if err != nil {
+			return results, err
 		}
-		jobs <- i
 	}
-	close(jobs)
-	wg.Wait()
-	return results, firstErr
+	return results, nil
 }
 
 // RunConcurrentAll executes the whole batch on a bounded worker pool and
@@ -76,30 +40,40 @@ func RunConcurrent(ps []Params, workers int) ([]*Result, error) {
 // callers that treat failures as data, like a fuzzing campaign where a hung
 // candidate (ErrCycleLimit) is itself a deterministic observation.
 func RunConcurrentAll(ps []Params, workers int) (results []*Result, errs []error) {
+	return runPool(ps, workers, false)
+}
+
+// runPool is the worker pool behind both sweeps. With stopOnErr, the feeder
+// stops handing out indexes once any run has failed (skipped indexes keep a
+// nil result and a nil error).
+func runPool(ps []Params, workers int, stopOnErr bool) ([]*Result, []error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(ps) {
 		workers = len(ps)
 	}
-	results = make([]*Result, len(ps))
-	errs = make([]error, len(ps))
-	if len(ps) == 0 {
-		return results, errs
-	}
+	results := make([]*Result, len(ps))
+	errs := make([]error, len(ps))
 
 	jobs := make(chan int)
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i], errs[i] = Run(ps[i])
+				if results[i], errs[i] = Run(ps[i]); errs[i] != nil {
+					failed.Store(true)
+				}
 			}
 		}()
 	}
 	for i := range ps {
+		if stopOnErr && failed.Load() {
+			break
+		}
 		jobs <- i
 	}
 	close(jobs)
@@ -170,38 +144,28 @@ func CompareModes(p Params, freshHooks func() arch.Hooks) (*ModeComparison, erro
 		opt.MaxFuse = ablations.MaxFuse
 
 		p.Opt = opt
-		p.RemoteAddr = ""
-		if freshHooks != nil {
-			p.Hooks = freshHooks()
-		}
-		modeled, err := Run(p)
-		if err != nil {
-			return nil, err
-		}
-		p.Opt.Executed = true
-		if freshHooks != nil {
-			p.Hooks = freshHooks()
-		}
-		executed, err := Run(p)
-		if err != nil {
-			return nil, err
-		}
-		row := ModeRow{Config: name, Modeled: modeled, Executed: executed}
-		if remoteAddr != "" {
-			p.RemoteAddr = remoteAddr
+		// Bug triggers are stateful, so every pass rebuilds the hooks.
+		pass := func(executed bool, addr string) (*Result, error) {
+			p.Opt.Executed, p.RemoteAddr = executed, addr
 			if freshHooks != nil {
 				p.Hooks = freshHooks()
 			}
-			if row.Remote, err = Run(p); err != nil {
+			return Run(p)
+		}
+		row := ModeRow{Config: name}
+		if row.Modeled, err = pass(false, ""); err != nil {
+			return nil, err
+		}
+		if row.Executed, err = pass(true, ""); err != nil {
+			return nil, err
+		}
+		if remoteAddr != "" {
+			if row.Remote, err = pass(true, remoteAddr); err != nil {
 				return nil, err
 			}
 		}
 		if shmSpec != "" {
-			p.RemoteAddr = shmSpec
-			if freshHooks != nil {
-				p.Hooks = freshHooks()
-			}
-			if row.Shm, err = Run(p); err != nil {
+			if row.Shm, err = pass(true, shmSpec); err != nil {
 				return nil, err
 			}
 		}
@@ -253,43 +217,41 @@ func (c *ModeComparison) ModeledSpeedup(i int) float64 {
 	return c.Rows[i].Modeled.SpeedHz / c.Rows[0].Modeled.SpeedHz
 }
 
+// wallSpeedup is base's measured wall clock over row's: the speedup of one
+// executed/remote/shm result relative to the same column's row 0. Zero when
+// either side did not run or carries no pipeline metrics.
+func wallSpeedup(base, row *Result) float64 {
+	if base == nil || row == nil || base.Exec == nil || row.Exec == nil || row.Exec.Wall <= 0 {
+		return 0
+	}
+	return base.Exec.Wall.Seconds() / row.Exec.Wall.Seconds()
+}
+
 // ExecutedSpeedup returns row i's measured wall-clock speedup over the
 // executed baseline (row 0): baselineWall / rowWall.
 func (c *ModeComparison) ExecutedSpeedup(i int) float64 {
 	if len(c.Rows) == 0 {
 		return 0
 	}
-	base, row := c.Rows[0].Executed.Exec, c.Rows[i].Executed.Exec
-	if base == nil || row == nil || row.Wall <= 0 {
-		return 0
-	}
-	return base.Wall.Seconds() / row.Wall.Seconds()
+	return wallSpeedup(c.Rows[0].Executed, c.Rows[i].Executed)
 }
 
 // RemoteSpeedup returns row i's measured networked wall-clock speedup over
 // the networked baseline (row 0), or 0 when the comparison ran without a
 // difftestd server.
 func (c *ModeComparison) RemoteSpeedup(i int) float64 {
-	if len(c.Rows) == 0 || c.Rows[0].Remote == nil || c.Rows[i].Remote == nil {
+	if len(c.Rows) == 0 {
 		return 0
 	}
-	base, row := c.Rows[0].Remote.Exec, c.Rows[i].Remote.Exec
-	if base == nil || row == nil || row.Wall <= 0 {
-		return 0
-	}
-	return base.Wall.Seconds() / row.Wall.Seconds()
+	return wallSpeedup(c.Rows[0].Remote, c.Rows[i].Remote)
 }
 
 // ShmSpeedup returns row i's measured shared-memory wall-clock speedup over
 // the shared-memory baseline (row 0), or 0 when the comparison ran without
 // Params.ShmLoopback.
 func (c *ModeComparison) ShmSpeedup(i int) float64 {
-	if len(c.Rows) == 0 || c.Rows[0].Shm == nil || c.Rows[i].Shm == nil {
+	if len(c.Rows) == 0 {
 		return 0
 	}
-	base, row := c.Rows[0].Shm.Exec, c.Rows[i].Shm.Exec
-	if base == nil || row == nil || row.Wall <= 0 {
-		return 0
-	}
-	return base.Wall.Seconds() / row.Wall.Seconds()
+	return wallSpeedup(c.Rows[0].Shm, c.Rows[i].Shm)
 }

@@ -178,27 +178,13 @@ func (r *Router) openSession(conn transport.FrameTransport, h transport.FrameHea
 		return
 	}
 
-	id := r.nextID.Add(1)
-	s := &rsession{
-		id:     id,
-		token:  (id*0x9e3779b97f4a7c15 ^ r.tokenSalt) | 1,
-		tenant: tenant,
-		key:    key,
-		hello:  hello,
-		window: scaleWindow(b.welcome.Tokens, q.Share),
-	}
-	s.shardAddr = addr
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
+	s := r.publishSession(hello, key, addr, scaleWindow(b.welcome.Tokens, q.Share))
+	if s == nil {
 		releaseSlot()
 		b.conn.Close()
 		return
 	}
-	s.tenantHeld = true // the reservation above becomes the session's hold
-	r.sessions[id] = s
-	r.placeLocked(s, addr)
-	r.mu.Unlock()
+	id := s.id
 
 	w := transport.Welcome{
 		Proto:       transport.ProtoVersion,
@@ -217,6 +203,36 @@ func (r *Router) openSession(conn transport.FrameTransport, h transport.FrameHea
 	r.logf("session %d: %s/%s/%s tenant=%q → %s (window %d of shard %d)",
 		id, hello.DUT, hello.Config, hello.Workload, tenant, addr, s.window, b.welcome.Tokens)
 	r.runProxy(conn, s, b)
+}
+
+// publishSession creates the record of an admitted session (its tenant slot
+// already reserved) and makes it visible to resumes, polls and reaps; nil
+// when the router began draining meanwhile. The record is born parked as of
+// now: it has no attachment until runProxy installs one, and a reap landing
+// in that gap must measure the resume window from publication — measured
+// from the zero time, the live session would be reaped and the frames it
+// journals afterwards never released.
+func (r *Router) publishSession(hello transport.Hello, key, addr string, window int) *rsession {
+	id := r.nextID.Add(1)
+	s := &rsession{
+		id:        id,
+		token:     (id*0x9e3779b97f4a7c15 ^ r.tokenSalt) | 1,
+		tenant:    hello.Tenant,
+		key:       key,
+		hello:     hello,
+		window:    window,
+		shardAddr: addr,
+		parkedAt:  time.Now(),
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.draining {
+		return nil
+	}
+	s.tenantHeld = true // the caller's reservation becomes the session's hold
+	r.sessions[id] = s
+	r.placeLocked(s, addr)
+	return s
 }
 
 // resumeSession handles a client Resume: find the record, kick any stale
@@ -710,6 +726,10 @@ func (p *proxy) pumpBackend() {
 				return
 			}
 			p.s.setFinal(&v, p.r)
+			// Settle the books before the client can see Done: its next Hello
+			// (or a stats query) may be on the wire the moment it does, and
+			// must find the tenant's slot free and the session counted.
+			p.r.sessionDone(p.s)
 			p.clientWrite(transport.FrameDone, marshalFrame(&v))
 			p.finishWith(outcomeFinal, nil)
 			return
@@ -775,7 +795,6 @@ func (p *proxy) finish() {
 
 	switch outcome {
 	case outcomeFinal:
-		r.sessionDone(s)
 		r.park(s, "completed")
 	case outcomeClientLost:
 		r.park(s, fmt.Sprintf("client connection lost: %v", cause))

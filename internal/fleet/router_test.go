@@ -401,3 +401,29 @@ func TestRouterReapReleasesQuota(t *testing.T) {
 		t.Fatal("slot not released by the reap")
 	}
 }
+
+// TestReapSparesJustPublishedSession: openSession publishes the record before
+// runProxy attaches to it, and a poll tick (or another connection's reap) can
+// land in between. The record must then count as parked since publication —
+// not since the zero time, which reaped the live session and leaked every
+// frame it journaled afterwards.
+func TestReapSparesJustPublishedSession(t *testing.T) {
+	r, err := NewRouter(Config{Shards: []string{"unix:///nonexistent/shard.sock"}, ResumeWindow: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := stubHello("ci", 23)
+	r.tenants[hello.Tenant]++ // openSession's admission reservation
+	s := r.publishSession(hello, placementKey(hello), r.order[0], 4)
+	if s == nil {
+		t.Fatal("publishSession refused on a router that is not draining")
+	}
+	r.reapSessions(time.Now())
+	if r.Sessions() != 1 {
+		t.Fatal("a session published but not yet attached was reaped as expired")
+	}
+	r.reapSessions(time.Now().Add(2 * time.Minute))
+	if r.Sessions() != 0 {
+		t.Fatal("a never-attached session outlived the resume window")
+	}
+}

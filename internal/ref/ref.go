@@ -31,11 +31,10 @@ type Ref struct {
 }
 
 // New builds a reference model over its own clone of the initial memory
-// image, with compensation logging enabled.
+// image. Compensation logging starts with the first Checkpoint: a model that
+// is never checkpointed can never be reverted, so it keeps no log at all.
 func New(image *mem.Memory) *Ref {
-	m := arch.NewMachine(image.Clone())
-	m.Log.Enable()
-	return &Ref{M: m}
+	return &Ref{M: arch.NewMachine(image.Clone())}
 }
 
 // Step executes one instruction.
@@ -56,8 +55,11 @@ func (r *Ref) InstrRet() uint64 { return r.M.InstrRet }
 // PC returns the current program counter.
 func (r *Ref) PC() uint64 { return r.M.State.PC }
 
-// Checkpoint records the current position in the compensation log.
+// Checkpoint records the current position in the compensation log and turns
+// logging on: Revert only ever targets a Mark, so nothing older than the
+// first one is needed.
 func (r *Ref) Checkpoint() Mark {
+	r.M.Log.Enable()
 	return Mark{logPos: r.M.Log.Mark() + r.trimmed, instrRet: r.M.InstrRet, pc: r.M.State.PC}
 }
 
@@ -91,12 +93,11 @@ func (r *Ref) TakeSnapshot() Snapshot {
 }
 
 // RestoreSnapshot reinstates a full snapshot, invalidating the compensation
-// log and any outstanding Marks.
+// log and any outstanding Marks (logging resumes at the next Checkpoint).
 func (r *Ref) RestoreSnapshot(s Snapshot) {
 	r.M.State = s.State.Clone()
 	r.M.Mem = s.Mem.Clone()
 	r.M.InstrRet = s.InstrRet
 	r.M.Log = arch.CompLog{}
-	r.M.Log.Enable()
 	r.trimmed = 0
 }

@@ -42,6 +42,9 @@ func TestCheckpointRevert(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		r.Step()
 	}
+	if n := r.LogLen(); n != 0 {
+		t.Errorf("%d compensation entries logged before the first Checkpoint; no Mark could revert them", n)
+	}
 	mk := r.Checkpoint()
 	wantX1 := r.M.State.GPR[1]
 	for i := 0; i < 40; i++ {

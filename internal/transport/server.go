@@ -590,15 +590,17 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 			}
 			sn.final = &v
 			s.served.Add(1)
-			err := conn.WriteFrame(FrameDone, encodeJSON(&v))
-			if err != nil {
-				s.logf("session %d: done write: %v", id, err)
-			}
 			if s.resumable() {
 				// Even after a successful write the client may never see the
 				// Done frame (stalled link); keep the completed session
-				// resumable so the final verdict can be replayed.
+				// resumable so the final verdict can be replayed. Park before
+				// the write: a client that reads Done and redials at once must
+				// already find the session.
 				s.park(sn, "completed")
+			}
+			err := conn.WriteFrame(FrameDone, encodeJSON(&v))
+			if err != nil {
+				s.logf("session %d: done write: %v", id, err)
 			}
 			s.logf("session %d: done (finished=%v mismatch=%v, %d events)",
 				id, v.Finished, v.Mismatch != nil, v.Events)
