@@ -113,9 +113,11 @@ fuzz-campaign:
 # pins graceful degradation when the retry budget runs out. The fleet chaos
 # gate routes sessions through the multi-shard router, kills a shard
 # mid-run, and requires migrated sessions to reach byte-identical verdicts
-# (and the full bug library to route with verdict equivalence).
+# (and the full bug library to route with verdict equivalence). The
+# dual-core fan-out is the one place two goroutines check through one
+# Checker, each core on its own scratch, so it runs under -race here too.
 integration:
-	$(GO) test -race -count=1 -run='TestLoopback|TestRemoteCancellation|TestFaultMatrix|TestDegraded' -v ./internal/cosim
+	$(GO) test -race -count=1 -run='TestLoopback|TestRemoteCancellation|TestFaultMatrix|TestDegraded|TestExecutedDualCoreFanout' -v ./internal/cosim
 	$(GO) test -race -count=1 -run='TestFleetChaosMigration|TestFleetAllShardsDeadDegrades|TestFleetBugLibraryEquivalence' -v ./internal/fleet
 	$(GO) test -race -count=1 -run='TestFuzzRediscoversBugLibrary|TestFuzzBeatsRandomControl|TestCampaignDeterministicAcrossWorkers|TestExitSequenceSurvivesTimerInterrupt' -v ./internal/fuzz
 

@@ -429,3 +429,60 @@ func BenchmarkStepALU(b *testing.B) {
 		m.Step()
 	}
 }
+
+// TestCSRIndexMatchesMap: the dense table answers exactly what a map over
+// isa.KnownCSRs does, on every 16-bit address — including the ones past the
+// 12-bit CSR space, which are unknown.
+func TestCSRIndexMatchesMap(t *testing.T) {
+	want := make(map[uint16]int, len(isa.KnownCSRs))
+	for i, a := range isa.KnownCSRs {
+		want[a] = i
+	}
+	for a := 0; a <= 0xFFFF; a++ {
+		w, ok := want[uint16(a)]
+		if !ok {
+			w = -1
+		}
+		if got := CSRIndex(uint16(a)); got != w {
+			t.Fatalf("CSRIndex(%#x) = %d, want %d", a, got, w)
+		}
+	}
+}
+
+// TestAllocBudgetStep: after warm-up, Step allocates nothing — as the bare
+// REF and as the DUT, with a device bus and an AfterExec hook that writes
+// the record. Budget: 0 allocs/op (a Step-local Exec escaping through the
+// hook or the writeback closures cost one per instruction).
+func TestAllocBudgetStep(t *testing.T) {
+	prog := []isa.Inst{
+		{Op: isa.OpLUI, Rd: 2, Imm: 0x80001000},
+		{Op: isa.OpADDI, Rd: 1, Rs1: 1, Imm: 1},
+		{Op: isa.OpSD, Rs1: 2, Rs2: 1, Imm: 8},
+		{Op: isa.OpLD, Rd: 3, Rs1: 2, Imm: 8},
+		{Op: isa.OpCSRRW, Rd: 4, Rs1: 1, CSR: isa.CSRMscratch},
+		{Op: isa.OpFMVDX, Rd: 1, Rs1: 3},
+		{Op: isa.OpBNE, Rs1: 1, Rs2: 0, Imm: -20},
+	}
+	bare := asm(t, prog)
+	dutLike := asm(t, prog)
+	dutLike.Bus = mem.NewBus(dutLike.Mem)
+	hooked := 0
+	dutLike.Hooks.AfterExec = func(m *Machine, ex *Exec) {
+		if ex.WroteInt {
+			hooked++
+			ex.Wdata ^= 0 // touch the record, as bug hooks do
+		}
+	}
+	for name, m := range map[string]*Machine{"ref": bare, "dut": dutLike} {
+		run(m, 64) // warm-up: first touch of each memory page
+		if n := testing.AllocsPerRun(1000, func() { m.Step() }); n != 0 {
+			t.Errorf("%s Step allocates %.2f/op, budget 0", name, n)
+		}
+		if m.State.GPR[1] < 100 {
+			t.Fatalf("%s: program did not loop (x1=%d)", name, m.State.GPR[1])
+		}
+	}
+	if hooked == 0 {
+		t.Fatal("AfterExec hook never ran")
+	}
+}

@@ -11,10 +11,15 @@ import (
 // record. Exceptions are architecturally taken (CSRs updated, PC vectored)
 // and reported in the record; Step never returns an error for architectural
 // conditions.
+//
+// The record is built in the machine's own m.exec and returned by value: a
+// local record would escape to the heap through the writeback closures and
+// the AfterExec hook, one allocation per instruction.
 func (m *Machine) Step() Exec {
 	pc := m.State.PC
 	raw := uint32(m.Mem.Read(pc&PhysMask, 4))
-	ex := Exec{PC: pc, Instr: raw}
+	ex := &m.exec
+	*ex = Exec{PC: pc, Instr: raw}
 
 	in, err := isa.Decode(raw)
 	ex.Inst = in
@@ -23,8 +28,8 @@ func (m *Machine) Step() Exec {
 		ex.Exception, ex.Cause, ex.Tval = true, isa.ExcIllegalInstr, uint64(raw)
 		ex.NextPC = m.State.PC
 		m.InstrRet++
-		m.runHook(&ex)
-		return ex
+		m.runHook(ex)
+		return *ex
 	}
 
 	next := pc + 4
@@ -384,8 +389,8 @@ func (m *Machine) Step() Exec {
 	}
 	ex.NextPC = m.State.PC
 	m.InstrRet++
-	m.runHook(&ex)
-	return ex
+	m.runHook(ex)
+	return *ex
 }
 
 func (m *Machine) resetVstart() {

@@ -68,6 +68,8 @@ type Machine struct {
 
 	// InstrRet counts retired instructions (including excepting ones).
 	InstrRet uint64
+
+	exec Exec // Step's working record
 }
 
 // NewMachine returns a machine over m with reset state.

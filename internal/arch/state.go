@@ -22,20 +22,25 @@ import (
 // NumCSRs is the number of implemented CSRs.
 var NumCSRs = len(isa.KnownCSRs)
 
-var csrIndex = func() map[uint16]int {
-	m := make(map[uint16]int, len(isa.KnownCSRs))
-	for i, a := range isa.KnownCSRs {
-		m[a] = i
+// csrIndex maps every 12-bit CSR address to its dense index, or -1 for an
+// unimplemented address. A flat table keeps CSRIndex a bounds check and a
+// load on the REF's per-instruction path.
+var csrIndex = func() (t [4096]int16) {
+	for i := range t {
+		t[i] = -1
 	}
-	return m
+	for i, a := range isa.KnownCSRs {
+		t[a] = int16(i)
+	}
+	return t
 }()
 
 // CSRIndex returns the dense index of CSR address addr, or -1.
 func CSRIndex(addr uint16) int {
-	if i, ok := csrIndex[addr]; ok {
-		return i
+	if int(addr) >= len(csrIndex) {
+		return -1
 	}
-	return -1
+	return int(csrIndex[addr])
 }
 
 // State is the complete architectural state of a hart.

@@ -2,6 +2,7 @@ package batch
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/event"
@@ -57,7 +58,7 @@ func eventsEqual(t *testing.T, want []event.Record, got []wire.Item) {
 		if got[i].Core != want[i].Core {
 			t.Fatalf("item %d core: got %d, want %d (kind %v)", i, got[i].Core, want[i].Core, ev.Kind())
 		}
-		if !event.Equal(ev, want[i].Ev) {
+		if !reflect.DeepEqual(ev, want[i].Ev) {
 			t.Fatalf("item %d (%v) payload mismatch", i, ev.Kind())
 		}
 	}

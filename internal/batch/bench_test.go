@@ -112,3 +112,35 @@ func TestAllocBudgetBatchPack(t *testing.T) {
 			allocs, strings.TrimSpace(string(data)))
 	}
 }
+
+// TestAllocBudgetBatchUnpack: steady-state unpacking allocates at most the
+// one payload arena per packet. Payloads must outlive the packet buffer and
+// the next call (pending cycle groups span packets, and fan-out consumers
+// read them asynchronously), so the arena stays; the item slice, the sort
+// and the pending group are reused.
+func TestAllocBudgetBatchUnpack(t *testing.T) {
+	const budget = 1.0
+	cycles := benchCycles(256)
+	p := NewPacker(4096)
+	var pkts []Packet
+	for _, c := range cycles {
+		pkts = append(pkts, p.AddCycle(c)...)
+	}
+	pkts = append(pkts, p.Flush()...)
+	var u Unpacker
+	for _, pkt := range pkts { // warm-up: grow the reused slices
+		if _, err := u.AddPacket(pkt.Buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := u.AddPacket(pkts[i%len(pkts)].Buf); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > budget {
+		t.Fatalf("batch unpack allocates %.2f/op, budget %.0f", allocs, budget)
+	}
+}

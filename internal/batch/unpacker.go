@@ -1,9 +1,10 @@
 package batch
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/event"
 	"repro/internal/wire"
@@ -17,10 +18,15 @@ import (
 // Because transmission-level packing may split a cycle across packets, the
 // unpacker holds the most recent cycle group until a newer cycle tag (or
 // Flush) proves it complete.
+//
+// The item slice AddPacket and Flush return is the unpacker's own and is
+// valid until the next AddPacket or Flush; the payloads it points at are not
+// reused and stay valid for as long as the caller holds them.
 type Unpacker struct {
 	pending   []wire.Item
 	pendingID uint8
 	havePend  bool
+	out       []wire.Item // the returned slice, reused call to call
 
 	// Stats.
 	Items   uint64
@@ -28,7 +34,8 @@ type Unpacker struct {
 }
 
 // AddPacket parses one packet and returns all items of cycles that are now
-// complete, in restored checking order.
+// complete, in restored checking order. The returned slice is valid until
+// the next AddPacket or Flush.
 //
 // Item payloads are copied out of buf into one arena allocation per packet,
 // so the caller may release or reuse buf (batch.Packet.Release) as soon as
@@ -61,7 +68,7 @@ func (u *Unpacker) AddPacket(buf []byte) ([]wire.Item, error) {
 	}
 	arena := make([]byte, 0, total)
 
-	var done []wire.Item
+	u.out = u.out[:0]
 	for s := 0; s < segCount; s++ {
 		m := buf[packetHeader+s*metaSize:]
 		typ, core, cycle := m[0], m[1], m[2]
@@ -72,7 +79,7 @@ func (u *Unpacker) AddPacket(buf []byte) ([]wire.Item, error) {
 		}
 
 		if !u.havePend || cycle != u.pendingID {
-			done = append(done, u.release()...)
+			u.release()
 			u.pendingID, u.havePend = cycle, true
 		}
 
@@ -84,23 +91,25 @@ func (u *Unpacker) AddPacket(buf []byte) ([]wire.Item, error) {
 		}
 		pos += segBytes
 	}
-	return done, nil
+	return u.out, nil
 }
 
-// Flush releases the final pending cycle group.
+// Flush releases the final pending cycle group. The returned slice is valid
+// until the next AddPacket or Flush.
 func (u *Unpacker) Flush() []wire.Item {
-	return u.release()
+	u.out = u.out[:0]
+	u.release()
+	return u.out
 }
 
-func (u *Unpacker) release() []wire.Item {
-	if len(u.pending) == 0 {
-		return nil
-	}
-	out := append([]wire.Item(nil), u.pending...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].SortKey() < out[j].SortKey() })
+// release appends the pending cycle group to u.out in restored checking
+// order.
+func (u *Unpacker) release() {
+	slices.SortStableFunc(u.pending, func(a, b wire.Item) int { return cmp.Compare(a.SortKey(), b.SortKey()) })
+	u.out = append(u.out, u.pending...)
+	u.Items += uint64(len(u.pending))
+	clear(u.pending) // drop the payload references before the slots are reused
 	u.pending = u.pending[:0]
-	u.Items += uint64(len(out))
-	return out
 }
 
 // parseSegment slices a segment payload into items using the per-kind

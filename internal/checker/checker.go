@@ -7,6 +7,7 @@
 package checker
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/arch"
@@ -55,6 +56,12 @@ type CoreChecker struct {
 	// EventsChecked counts processed events (software-cost accounting).
 	EventsChecked uint64
 	BytesChecked  uint64
+
+	// Per-call scratch, touched only by this core's checking goroutine:
+	// one decoded value per kind (ProcessItem) and the two encodings a
+	// state compare lines up (checkState).
+	scratch        [event.NumKinds]event.Event
+	refBuf, dutBuf []byte
 }
 
 // Checker verifies a multi-core DUT, one reference model per hart.
@@ -85,6 +92,36 @@ func (c *Checker) Process(rec event.Record) *Mismatch {
 	return c.Cores[rec.Core].Process(rec)
 }
 
+// ProcessItem checks one raw wire item — an event of kind k whose wire
+// encoding is payload — on its core's checker, without a heap event: the
+// payload size is checked, the payload is decoded into the core's scratch
+// value for k, and state snapshots are compared against the REF in wire
+// space. A malformed payload returns the *event.DecodeError event.Decode
+// would.
+//
+// The checker keeps nothing from the call: neither payload nor the decoded
+// value is referenced after it returns, so the caller may reuse both.
+func (c *Checker) ProcessItem(core uint8, k event.Kind, payload []byte) (*Mismatch, error) {
+	switch {
+	case k >= event.NumKinds:
+		return nil, &event.DecodeError{Kind: k, Len: len(payload), Err: event.ErrUnknownKind}
+	case len(payload) != event.SizeOf(k):
+		return nil, &event.DecodeError{Kind: k, Len: len(payload), Err: event.ErrPayloadSize}
+	case int(core) >= len(c.Cores):
+		return &Mismatch{Core: core, Detail: "record for unknown core"}, nil
+	}
+	cc := c.Cores[core]
+	ev := cc.scratch[k]
+	if ev == nil {
+		ev = event.InfoOf(k).New()
+		cc.scratch[k] = ev
+	}
+	if _, err := ev.DecodeFrom(payload); err != nil {
+		return nil, err
+	}
+	return cc.process(event.Record{Core: core, Ev: ev}, payload), nil
+}
+
 // Finished reports whether a Trap event was observed and its code.
 func (c *Checker) Finished() (bool, uint64) {
 	for _, cc := range c.Cores {
@@ -112,6 +149,12 @@ func (cc *CoreChecker) fail(rec event.Record, format string, args ...any) *Misma
 // events it advances the reference model; for state and memory events it
 // compares against the model's current state.
 func (cc *CoreChecker) Process(rec event.Record) *Mismatch {
+	return cc.process(rec, nil)
+}
+
+// process is Process with the event's wire encoding when the caller has it
+// (ProcessItem), nil otherwise; only state snapshots use it.
+func (cc *CoreChecker) process(rec event.Record, enc []byte) *Mismatch {
 	cc.EventsChecked++
 	cc.BytesChecked += uint64(event.SizeOf(rec.Ev.Kind()))
 	cc.observe(rec.Ev)
@@ -294,15 +337,29 @@ func (cc *CoreChecker) Process(rec event.Record) *Mismatch {
 		return nil
 
 	default:
-		// State snapshot events: rebuild from REF and compare bitwise.
-		if want := snapshot.Build(rec.Ev.Kind(), cc.Ref.M); want != nil {
-			if !event.Equal(rec.Ev, want) {
-				return cc.fail(rec, "state snapshot diverged: %s", describeDiff(rec.Ev, want))
-			}
-			return nil
-		}
+		return cc.checkState(rec, enc)
+	}
+}
+
+// checkState compares a state snapshot in wire space: the REF's snapshot of
+// the same kind is encoded into refBuf and compared byte for byte with the
+// DUT's encoding — got, or rec.Ev encoded into dutBuf when got is nil.
+// Padding is part of the compare; the codec always encodes it as zeros.
+func (cc *CoreChecker) checkState(rec event.Record, got []byte) *Mismatch {
+	k := rec.Ev.Kind()
+	want, ok := snapshot.AppendState(k, cc.Ref.M, cc.refBuf[:0])
+	if !ok {
 		return cc.fail(rec, "unhandled event kind")
 	}
+	cc.refBuf = want
+	if got == nil {
+		got = rec.Ev.AppendTo(cc.dutBuf[:0])
+		cc.dutBuf = got
+	}
+	if !bytes.Equal(got, want) {
+		return cc.fail(rec, "state snapshot diverged: %s", describeDiff(k, got, want))
+	}
+	return nil
 }
 
 func (cc *CoreChecker) checkLine(rec event.Record, addr uint64, cmp func(int, uint64) *Mismatch) *Mismatch {
@@ -355,16 +412,14 @@ func (cc *CoreChecker) processCommit(rec event.Record, ev *event.InstrCommit) *M
 	return nil
 }
 
-func describeDiff(got, want event.Event) string {
-	a := got.AppendTo(event.GetBuf(got.EncodedSize()))
-	b := want.AppendTo(event.GetBuf(want.EncodedSize()))
-	defer event.PutBuf(a)
-	defer event.PutBuf(b)
-	for i := range a {
-		if a[i] != b[i] {
+// describeDiff names the first differing 64-bit word of two encodings of
+// kind k.
+func describeDiff(k event.Kind, got, want []byte) string {
+	for i := range got {
+		if got[i] != want[i] {
 			word := i / 8 * 8
 			return fmt.Sprintf("%v word at byte %d: DUT %x REF %x",
-				got.Kind(), word, a[word:word+8], b[word:word+8])
+				k, word, got[word:word+8], want[word:word+8])
 		}
 	}
 	return "identical encodings"

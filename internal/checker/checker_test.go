@@ -135,12 +135,12 @@ func TestSnapshotCompare(t *testing.T) {
 	cc := chk.Cores[0]
 
 	good := snapshot.IntRegState(cc.Ref.M)
-	if m := chk.Process(event.Record{Seq: 1, Core: 0, Ev: good}); m != nil {
+	if m := chk.Process(event.Record{Seq: 1, Core: 0, Ev: &good}); m != nil {
 		t.Fatalf("matching snapshot flagged: %v", m)
 	}
 	bad := snapshot.IntRegState(cc.Ref.M)
 	bad.GPR[4] ^= 1
-	m := chk.Process(event.Record{Seq: 1, Core: 0, Ev: bad})
+	m := chk.Process(event.Record{Seq: 1, Core: 0, Ev: &bad})
 	if m == nil || m.Kind != event.KindArchIntRegState {
 		t.Fatalf("diverged snapshot not flagged: %v", m)
 	}
@@ -201,5 +201,42 @@ func TestMismatchErrorString(t *testing.T) {
 	m.Fused = true
 	if !strings.Contains(m.Error(), "fused") {
 		t.Error("fused flag not rendered")
+	}
+}
+
+// TestProcessItemStateCompareIsWireSpace: a raw item's snapshot payload is
+// compared byte for byte with the REF's encoding, padding included — the
+// codec always encodes padding as zeros, so a nonzero padding word is a
+// diverged stream, not a field-equal one. ProcessItem and Process agree on
+// every field-level divergence.
+func TestProcessItemStateCompareIsWireSpace(t *testing.T) {
+	chk := harness(t)
+	chk.Process(commitRec(1, mem.RAMBase, 1, 5))
+	cc := chk.Cores[0]
+	good, _ := snapshot.AppendState(event.KindCSRState, cc.Ref.M, nil)
+
+	if m, err := chk.ProcessItem(0, event.KindCSRState, good); m != nil || err != nil {
+		t.Fatalf("matching CSR snapshot: mismatch %v, err %v", m, err)
+	}
+
+	bad := append([]byte(nil), good...)
+	bad[8] ^= 0x10 // mcause
+	m, err := chk.ProcessItem(0, event.KindCSRState, bad)
+	if err != nil || m == nil || m.Kind != event.KindCSRState {
+		t.Fatalf("diverged CSR snapshot: mismatch %v, err %v", m, err)
+	}
+	ev, err := event.Decode(event.KindCSRState, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := chk.Process(event.Record{Core: 0, Ev: ev}); want == nil || *want != *m {
+		t.Fatalf("ProcessItem %+v, Process %+v", m, want)
+	}
+
+	pad := append([]byte(nil), good...)
+	pad[len(pad)-1] = 1 // CSRState ends in four padding words
+	m, err = chk.ProcessItem(0, event.KindCSRState, pad)
+	if err != nil || m == nil || !strings.Contains(m.Detail, "word at byte 152") {
+		t.Fatalf("nonzero padding: mismatch %v, err %v", m, err)
 	}
 }

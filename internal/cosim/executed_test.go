@@ -82,20 +82,24 @@ func TestExecutedCleanAllConfigs(t *testing.T) {
 	}
 }
 
-// TestExecutedDualCoreFanout exercises the per-core consumer fan-out with
-// the full Squash stack under a multi-core DUT (run with -race in CI).
+// TestExecutedDualCoreFanout exercises the per-core consumer fan-out under
+// a multi-core DUT (run with -race in CI): with the full Squash stack, and
+// without it, where each core's goroutine decodes into its own checker
+// scratch through ProcessItem.
 func TestExecutedDualCoreFanout(t *testing.T) {
-	opt, _ := ParseConfig("EBINSD")
-	opt.Executed = true
-	res := run(t, Params{
-		DUT: dut.XiangShanDefaultDual(), Platform: platform.Palladium(), Opt: opt,
-		Workload: scaled(workload.LinuxBoot(), 16_000), Seed: 11,
-	})
-	if res.Mismatch != nil {
-		t.Fatalf("spurious dual-core mismatch: %v", res.Mismatch)
-	}
-	if !res.Finished {
-		t.Fatal("dual-core executed run did not finish")
+	for _, cfg := range []string{"EBINSD", "EBIN"} {
+		opt, _ := ParseConfig(cfg)
+		opt.Executed = true
+		res := run(t, Params{
+			DUT: dut.XiangShanDefaultDual(), Platform: platform.Palladium(), Opt: opt,
+			Workload: scaled(workload.LinuxBoot(), 16_000), Seed: 11,
+		})
+		if res.Mismatch != nil {
+			t.Fatalf("%s: spurious dual-core mismatch: %v", cfg, res.Mismatch)
+		}
+		if !res.Finished {
+			t.Fatalf("%s: dual-core executed run did not finish", cfg)
+		}
 	}
 }
 

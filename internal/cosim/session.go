@@ -7,6 +7,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/checker"
 	"repro/internal/dut"
+	"repro/internal/event"
 	"repro/internal/squash"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -145,17 +146,17 @@ func (s *CheckerSession) Items(items []wire.Item) (*checker.Mismatch, error) {
 }
 
 // checkItem runs one wire item through the Squash reorderer or the direct
-// per-event checker. It touches only the item's core, so the executed
-// pipeline's per-core fan-out may call it from one goroutine per core.
+// per-event checker. It touches only the item's core — including that core's
+// checker scratch — so the executed pipeline's per-core fan-out may call it
+// from one goroutine per core.
 func (s *CheckerSession) checkItem(it wire.Item) (*checker.Mismatch, error) {
 	if s.opt.Squash {
 		return s.desq.Process(it), nil
 	}
-	rec, err := wire.ToRecord(it)
-	if err != nil {
-		return nil, err
+	if it.Type >= wire.TypeNDEBase {
+		return nil, fmt.Errorf("wire: item type %d is not raw", it.Type)
 	}
-	return s.chk.Process(rec), nil
+	return s.chk.ProcessItem(it.Core, event.Kind(it.Type), it.Payload)
 }
 
 // check runs items in stream order, stopping at the first divergence: once

@@ -277,30 +277,33 @@ func (d *DUT) emitHierarchy(c *Core, seq uint64, ex *arch.Exec) {
 func (d *DUT) emitSnapshots(c *Core, afterInterrupt bool) {
 	seq := c.Seq
 	m := c.M
-	d.emit(c, seq, snapshot.IntRegState(m))
-	d.emit(c, seq, snapshot.CSRState(m))
+	d.emit(c, seq, box(snapshot.IntRegState(m)))
+	d.emit(c, seq, box(snapshot.CSRState(m)))
 	if afterInterrupt {
 		return
 	}
 	cyc := int(d.CycleCount)
 	if e := d.Cfg.FpStateEvery; e > 0 && cyc%e == 0 {
-		d.emit(c, seq, snapshot.FpCSRState(m))
-		d.emit(c, seq, snapshot.FpRegState(m))
+		d.emit(c, seq, box(snapshot.FpCSRState(m)))
+		d.emit(c, seq, box(snapshot.FpRegState(m)))
 	}
 	if e := d.Cfg.VecStateEvery; e > 0 && cyc%e == 0 {
-		d.emit(c, seq, snapshot.VecCSRState(m))
+		d.emit(c, seq, box(snapshot.VecCSRState(m)))
 		if cyc%(e*8) == 0 {
-			d.emit(c, seq, snapshot.VecRegState(m))
+			d.emit(c, seq, box(snapshot.VecRegState(m)))
 		}
 	}
 	if e := d.Cfg.HStateEvery; e > 0 && cyc%e == 0 {
-		d.emit(c, seq, snapshot.HCSRState(m))
+		d.emit(c, seq, box(snapshot.HCSRState(m)))
 	}
 	if e := d.Cfg.DbgStateEvery; e > 0 && cyc%e == 0 {
-		d.emit(c, seq, snapshot.DebugCSRState(m))
-		d.emit(c, seq, snapshot.TriggerCSRState(m))
+		d.emit(c, seq, box(snapshot.DebugCSRState(m)))
+		d.emit(c, seq, box(snapshot.TriggerCSRState(m)))
 	}
 }
+
+// box moves a snapshot value to the heap as the event the monitor emits.
+func box[T any](v T) *T { return &v }
 
 func sizeMask(size int) uint64 {
 	if size >= 8 {

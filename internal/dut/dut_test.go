@@ -1,6 +1,7 @@
 package dut_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -45,7 +46,7 @@ func TestDUTIsDeterministic(t *testing.T) {
 			t.Fatalf("cycle %d: %d vs %d records", i, len(a[i]), len(b[i]))
 		}
 		for j := range a[i] {
-			if a[i][j].Seq != b[i][j].Seq || !event.Equal(a[i][j].Ev, b[i][j].Ev) {
+			if a[i][j].Seq != b[i][j].Seq || !reflect.DeepEqual(a[i][j].Ev, b[i][j].Ev) {
 				t.Fatalf("cycle %d record %d differs", i, j)
 			}
 		}

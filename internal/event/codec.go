@@ -3,7 +3,6 @@ package event
 //go:generate go run ./gen
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -178,21 +177,6 @@ func Decode(k Kind, data []byte) (Event, error) {
 		return nil, err
 	}
 	return ev, nil
-}
-
-// Equal reports whether two events have the same kind and identical wire
-// encodings (and therefore identical field values). It runs on the checker's
-// state-compare hot path, so it encodes into pooled scratch buffers.
-func Equal(a, b Event) bool {
-	if a.Kind() != b.Kind() {
-		return false
-	}
-	ab := a.AppendTo(GetBuf(a.EncodedSize()))
-	bb := b.AppendTo(GetBuf(b.EncodedSize()))
-	eq := bytes.Equal(ab, bb)
-	PutBuf(ab)
-	PutBuf(bb)
-	return eq
 }
 
 // Record is an event stamped with its order tag: the global instruction

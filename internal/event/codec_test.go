@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func TestCodecMatchesReflective(t *testing.T) {
 				t.Fatalf("%v: DecodeFrom = (%d, %v)", k, n, err)
 			}
 			ref := reflectiveDecode(t, k, want)
-			if !Equal(dec, ref) {
+			if !reflect.DeepEqual(dec, ref) {
 				t.Fatalf("%v: DecodeFrom disagrees with encoding/binary.Read\n got %+v\nwant %+v", k, dec, ref)
 			}
 		}

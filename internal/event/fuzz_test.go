@@ -3,6 +3,7 @@ package event
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -48,7 +49,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatalf("%v: encode→decode→encode not byte-stable\n enc1 %x\n enc2 %x", k, enc1, enc2)
 		}
-		if !Equal(ev, ev2) {
+		if !reflect.DeepEqual(ev, ev2) {
 			t.Fatalf("%v: round-tripped event differs", k)
 		}
 	})

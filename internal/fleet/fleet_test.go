@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bugs"
+	"repro/internal/checker"
 	"repro/internal/cosim"
 	"repro/internal/dut"
 	"repro/internal/event"
@@ -219,6 +220,23 @@ func TestFleetChaosMigration(t *testing.T) {
 	}
 }
 
+// heldSession is a production checker session whose first Packet reports
+// on entered, then waits for gate.
+type heldSession struct {
+	transport.SessionChecker
+	once    sync.Once
+	entered chan<- struct{}
+	gate    <-chan struct{}
+}
+
+func (h *heldSession) Packet(buf []byte) (*checker.Mismatch, error) {
+	h.once.Do(func() {
+		close(h.entered)
+		<-h.gate
+	})
+	return h.SessionChecker.Packet(buf)
+}
+
 // TestFleetAllShardsDeadDegrades pins the satellite path: when no shard can
 // take a forced resume, the router refuses it, the client surfaces
 // ErrSessionLost, and cosim reruns in-process — identical verdict, Degraded
@@ -229,7 +247,25 @@ func TestFleetAllShardsDeadDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, spec, stopRouter, _, order := cosimFleet(t, 1, Config{})
+	// The shard holds the session at its first packet until the kill has
+	// landed, so the run cannot complete there first, however fast it checks
+	// or however late this goroutine is scheduled.
+	entered, gate := make(chan struct{}), make(chan struct{})
+	shard, shardSpec := startShard(t, transport.ServerConfig{Window: 8,
+		NewSession: func(h transport.Hello) (transport.SessionChecker, error) {
+			s, err := cosim.NewSession(h)
+			if err != nil {
+				return nil, err
+			}
+			return &heldSession{SessionChecker: s, entered: entered, gate: gate}, nil
+		}})
+	var opened sync.Once
+	openGate := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(openGate) // runs before the shard's Shutdown, which waits for the held handler
+	r, spec, stopRouter := startRouter(t, Config{
+		Shards: []string{shardSpec}, StatsInterval: 20 * time.Millisecond,
+		DialTimeout: 2 * time.Second, ResumeWindow: time.Minute,
+	})
 	gets0, puts0 := event.PoolStats()
 
 	type outcome struct {
@@ -244,10 +280,26 @@ func TestFleetAllShardsDeadDegrades(t *testing.T) {
 		ch <- outcome{res, err}
 	}()
 
-	waitFor(t, 10*time.Second, "the session to attach", func() bool {
-		return r.StatsInfo().Active >= 1
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the session's first packet never reached the shard")
+	}
+	killed := make(chan struct{})
+	go func() {
+		killShard(shard)
+		close(killed)
+	}()
+	// Shutdown closes the listener, then (its context already expired)
+	// interrupts every live connection, then waits for the held handler.
+	// Once the router's polls see the shard down, let the packet through:
+	// the handler's next read fails and the session leaves the shard.
+	waitFor(t, 10*time.Second, "the router to see the shard down", func() bool {
+		st := r.StatsInfo()
+		return len(st.Shards) == 1 && st.Shards[0].State == "down"
 	})
-	killShard(order[0])
+	openGate()
+	<-killed
 
 	got := <-ch
 	if got.err != nil {

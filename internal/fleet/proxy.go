@@ -42,8 +42,11 @@ type rsession struct {
 	tenantHeld bool
 	placedAddr string
 
-	mu       sync.Mutex
-	journal  []jframe
+	mu      sync.Mutex
+	journal []jframe
+	// frames counts the data frames journaled: the session's received-frame
+	// count, which outlives the journal itself (released at Done).
+	frames   uint64
 	released bool
 	endSent  bool
 	verdict  *transport.Verdict
@@ -66,12 +69,16 @@ func (s *rsession) journalAppend(typ uint8, payload []byte) int {
 	copy(buf, payload)
 	s.mu.Lock()
 	s.journal = append(s.journal, jframe{typ: typ, buf: buf})
-	n := len(s.journal)
+	s.frames++
+	n := s.frames
 	s.mu.Unlock()
-	return n
+	return int(n)
 }
 
-// releaseJournal drains the journal back to the buffer pool; idempotent.
+// releaseJournal drains the journal back to the buffer pool; idempotent. A
+// completed session releases it at Done — a final verdict is replayed from
+// s.final and s.frames, never rebuilt — so only in-flight and broken
+// sessions hold their stream's bytes while parked.
 func (s *rsession) releaseJournal() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -286,7 +293,7 @@ func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameH
 	}
 
 	s.mu.Lock()
-	jlen := uint64(len(s.journal))
+	jlen := s.frames
 	final := s.final
 	oldAddr := s.shardAddr
 	s.resumes++
@@ -795,6 +802,7 @@ func (p *proxy) finish() {
 
 	switch outcome {
 	case outcomeFinal:
+		s.releaseJournal()
 		r.park(s, "completed")
 	case outcomeClientLost:
 		r.park(s, fmt.Sprintf("client connection lost: %v", cause))

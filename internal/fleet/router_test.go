@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/event"
 	"repro/internal/transport"
 )
 
@@ -219,28 +220,63 @@ func TestRouterDrainRedirect(t *testing.T) {
 // Done frame resumes and receives the final verdict in the ResumeOK — as
 // often as it needs to, until the resume window reaps the record.
 func TestRouterFinalVerdictReplay(t *testing.T) {
-	_, spec, _ := stubFleet(t, 1, Config{ResumeWindow: time.Minute})
+	r, spec, _ := stubFleet(t, 1, Config{ResumeWindow: time.Minute})
+	gets0, puts0 := event.PoolStats()
 	conn, w := openRaw(t, spec, stubHello("", 11))
-	sendPacket(t, conn, []byte("frame"))
+	const sent = 3
+	for i := 0; i < sent; i++ {
+		sendPacket(t, conn, []byte("frame"))
+	}
 	if err := conn.WriteFrame(transport.FrameEnd, nil); err != nil {
 		t.Fatal(err)
 	}
 	readCtl(t, conn, transport.FrameDone, nil)
 	conn.Close() // pretend the Done frame was lost on the way
 
+	// A completed session holds O(1): the journal is gone and every frame
+	// it copied is back in the pool, though the record stays parked. The
+	// pool counters are process-wide, so buffers an earlier test still held
+	// at gets0 may come back too: every get since then must be matched.
+	r.mu.Lock()
+	s := r.sessions[w.Session]
+	r.mu.Unlock()
+	if s == nil {
+		t.Fatal("completed session not parked for final-verdict replay")
+	}
+	waitFor(t, 2*time.Second, "journal released at Done", func() bool {
+		s.mu.Lock()
+		released := s.released && s.journal == nil
+		s.mu.Unlock()
+		gets, puts := event.PoolStats()
+		return released && puts-puts0 >= gets-gets0
+	})
+
 	for try := 0; try < 2; try++ {
 		c := dialRaw(t, spec)
 		writeCtl(t, c, transport.FrameResume, &transport.Resume{
 			Proto: transport.ProtoVersion, Session: w.Session, Token: w.ResumeToken,
-			Sent: 1, Acked: 1,
+			Sent: sent, Acked: sent,
 		})
 		var ok transport.ResumeOK
 		readCtl(t, c, transport.FrameResumeOK, &ok)
 		if ok.Final == nil || !ok.Final.Finished || ok.Final.TrapCode != stubTrapCode {
 			t.Fatalf("try %d: resume did not replay the final verdict: %+v", try, ok)
 		}
+		if ok.Have != sent {
+			t.Fatalf("try %d: final replay reports Have=%d, want the %d frames sent", try, ok.Have, sent)
+		}
 		c.Close()
 	}
+
+	// The frame count survives the journal: a client claiming fewer frames
+	// than the router forwarded is still refused.
+	c := dialRaw(t, spec)
+	writeCtl(t, c, transport.FrameResume, &transport.Resume{
+		Proto: transport.ProtoVersion, Session: w.Session, Token: w.ResumeToken,
+		Sent: sent - 1, Acked: sent - 1,
+	})
+	expectRefusal(t, c, "resume")
+	c.Close()
 }
 
 // TestRouterResumeRefusals covers the resume sanity checks: wrong token,

@@ -1,7 +1,9 @@
 // Package snapshot builds register/CSR-state verification events from an
 // architectural machine. The DUT monitor and the software checker build
-// snapshots with the same functions, so any state divergence between the two
-// machines shows up as an event mismatch.
+// snapshots with the same functions — one constructor per kind, returning a
+// value — so any state divergence between the two machines shows up as an
+// event mismatch. The DUT boxes the value into the event it emits; the
+// checker encodes it straight into a reusable buffer (AppendState).
 package snapshot
 
 import (
@@ -11,13 +13,13 @@ import (
 )
 
 // IntRegState snapshots the integer register file.
-func IntRegState(m *arch.Machine) *event.ArchIntRegState {
-	return &event.ArchIntRegState{GPR: m.State.GPR}
+func IntRegState(m *arch.Machine) event.ArchIntRegState {
+	return event.ArchIntRegState{GPR: m.State.GPR}
 }
 
 // FpRegState snapshots the floating-point register file.
-func FpRegState(m *arch.Machine) *event.ArchFpRegState {
-	return &event.ArchFpRegState{FPR: m.State.FPR}
+func FpRegState(m *arch.Machine) event.ArchFpRegState {
+	return event.ArchFpRegState{FPR: m.State.FPR}
 }
 
 // CSRState snapshots the machine-mode CSR group.
@@ -25,9 +27,9 @@ func FpRegState(m *arch.Machine) *event.ArchFpRegState {
 // mip is deliberately omitted (reported as zero): it reflects live device
 // state that the reference model cannot reproduce; interrupt delivery is
 // instead verified through Interrupt NDE synchronization, as in DiffTest.
-func CSRState(m *arch.Machine) *event.CSRState {
+func CSRState(m *arch.Machine) event.CSRState {
 	s := &m.State
-	return &event.CSRState{
+	return event.CSRState{
 		Mstatus:  s.CSRVal(isa.CSRMstatus),
 		Mcause:   s.CSRVal(isa.CSRMcause),
 		Mepc:     s.CSRVal(isa.CSRMepc),
@@ -48,8 +50,8 @@ func CSRState(m *arch.Machine) *event.CSRState {
 }
 
 // VecRegState snapshots the vector register file.
-func VecRegState(m *arch.Machine) *event.ArchVecRegState {
-	ev := &event.ArchVecRegState{VReg: m.State.VReg}
+func VecRegState(m *arch.Machine) event.ArchVecRegState {
+	ev := event.ArchVecRegState{VReg: m.State.VReg}
 	ev.Ctx[0] = m.State.CSRVal(isa.CSRVl)
 	ev.Ctx[1] = m.State.CSRVal(isa.CSRVtype)
 	ev.Ctx[2] = m.State.CSRVal(isa.CSRVstart)
@@ -57,9 +59,9 @@ func VecRegState(m *arch.Machine) *event.ArchVecRegState {
 }
 
 // VecCSRState snapshots the vector CSRs.
-func VecCSRState(m *arch.Machine) *event.VecCSRState {
+func VecCSRState(m *arch.Machine) event.VecCSRState {
 	s := &m.State
-	return &event.VecCSRState{
+	return event.VecCSRState{
 		Vstart: s.CSRVal(isa.CSRVstart),
 		Vxsat:  s.CSRVal(isa.CSRVxsat),
 		Vxrm:   s.CSRVal(isa.CSRVxrm),
@@ -71,14 +73,14 @@ func VecCSRState(m *arch.Machine) *event.VecCSRState {
 }
 
 // FpCSRState snapshots fcsr.
-func FpCSRState(m *arch.Machine) *event.FpCSRState {
-	return &event.FpCSRState{Fcsr: m.State.CSRVal(isa.CSRFcsr)}
+func FpCSRState(m *arch.Machine) event.FpCSRState {
+	return event.FpCSRState{Fcsr: m.State.CSRVal(isa.CSRFcsr)}
 }
 
 // HCSRState snapshots the hypervisor CSR group.
-func HCSRState(m *arch.Machine) *event.HCSRState {
+func HCSRState(m *arch.Machine) event.HCSRState {
 	s := &m.State
-	return &event.HCSRState{
+	return event.HCSRState{
 		Hstatus:  s.CSRVal(isa.CSRHstatus),
 		Hedeleg:  s.CSRVal(isa.CSRHedeleg),
 		Hideleg:  s.CSRVal(isa.CSRHideleg),
@@ -94,44 +96,55 @@ func HCSRState(m *arch.Machine) *event.HCSRState {
 
 // DebugCSRState snapshots the debug CSR group. The models implement no debug
 // mode, so the snapshot is all-zero unless a bug corrupts it.
-func DebugCSRState(m *arch.Machine) *event.DebugCSRState {
-	return &event.DebugCSRState{}
+func DebugCSRState(m *arch.Machine) event.DebugCSRState {
+	return event.DebugCSRState{}
 }
 
 // TriggerCSRState snapshots the trigger CSR group (all-zero, as above).
-func TriggerCSRState(m *arch.Machine) *event.TriggerCSRState {
-	return &event.TriggerCSRState{}
+func TriggerCSRState(m *arch.Machine) event.TriggerCSRState {
+	return event.TriggerCSRState{}
 }
 
-// Build constructs the snapshot event of the given kind, or nil for
-// non-snapshot kinds.
-func Build(k event.Kind, m *arch.Machine) event.Event {
+// AppendState appends the wire encoding of m's snapshot of kind k to dst,
+// with no heap event in between — the checker's side of a wire-space state
+// compare. The second result is false, and dst is returned unchanged, for a
+// kind that is not an architectural-state snapshot.
+func AppendState(k event.Kind, m *arch.Machine, dst []byte) ([]byte, bool) {
 	switch k {
 	case event.KindArchIntRegState:
-		return IntRegState(m)
+		ev := IntRegState(m)
+		return ev.AppendTo(dst), true
 	case event.KindArchFpRegState:
-		return FpRegState(m)
+		ev := FpRegState(m)
+		return ev.AppendTo(dst), true
 	case event.KindCSRState:
-		return CSRState(m)
+		ev := CSRState(m)
+		return ev.AppendTo(dst), true
 	case event.KindArchVecRegState:
-		return VecRegState(m)
+		ev := VecRegState(m)
+		return ev.AppendTo(dst), true
 	case event.KindVecCSRState:
-		return VecCSRState(m)
+		ev := VecCSRState(m)
+		return ev.AppendTo(dst), true
 	case event.KindFpCSRState:
-		return FpCSRState(m)
+		ev := FpCSRState(m)
+		return ev.AppendTo(dst), true
 	case event.KindHCSRState:
-		return HCSRState(m)
+		ev := HCSRState(m)
+		return ev.AppendTo(dst), true
 	case event.KindDebugCSRState:
-		return DebugCSRState(m)
+		ev := DebugCSRState(m)
+		return ev.AppendTo(dst), true
 	case event.KindTriggerCSRState:
-		return TriggerCSRState(m)
+		ev := TriggerCSRState(m)
+		return ev.AppendTo(dst), true
 	default:
 		// Not an architectural-state snapshot kind.
-		return nil
+		return dst, false
 	}
 }
 
-// SnapshotKinds lists the event kinds that Build can construct.
+// SnapshotKinds lists the event kinds that AppendState can encode.
 var SnapshotKinds = []event.Kind{
 	event.KindArchIntRegState, event.KindArchFpRegState, event.KindCSRState,
 	event.KindArchVecRegState, event.KindVecCSRState, event.KindFpCSRState,

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/arch"
@@ -58,19 +59,41 @@ func TestMipOmittedFromCSRState(t *testing.T) {
 	}
 }
 
-func TestBuildDispatch(t *testing.T) {
+// TestAppendStateDispatch: AppendState encodes exactly what the kind's
+// constructor builds, so the DUT's emitted event and the checker's
+// wire-space compare cannot drift apart.
+func TestAppendStateDispatch(t *testing.T) {
 	m := machine()
-	for _, k := range SnapshotKinds {
-		ev := Build(k, m)
-		if ev == nil || ev.Kind() != k {
-			t.Errorf("Build(%v) = %v", k, ev)
+	ir, fr, cs := IntRegState(m), FpRegState(m), CSRState(m)
+	vr, vc, fc := VecRegState(m), VecCSRState(m), FpCSRState(m)
+	hc, dc, tc := HCSRState(m), DebugCSRState(m), TriggerCSRState(m)
+	built := []event.Event{&ir, &fr, &cs, &vr, &vc, &fc, &hc, &dc, &tc}
+	if len(SnapshotKinds) != 9 || len(built) != len(SnapshotKinds) {
+		t.Fatalf("snapshot kinds = %d, want the 9 register-update kinds", len(SnapshotKinds))
+	}
+	for i, k := range SnapshotKinds {
+		if built[i].Kind() != k {
+			t.Fatalf("SnapshotKinds[%d] = %v, constructor builds %v", i, k, built[i].Kind())
+		}
+		got, ok := AppendState(k, m, nil)
+		if !ok || !bytes.Equal(got, event.EncodeValue(built[i])) {
+			t.Errorf("AppendState(%v) differs from the constructor's encoding", k)
 		}
 	}
-	if Build(event.KindLoad, m) != nil {
-		t.Error("Build produced a non-snapshot kind")
+	if _, ok := AppendState(event.KindLoad, m, nil); ok {
+		t.Error("AppendState encoded a non-snapshot kind")
 	}
-	if len(SnapshotKinds) != 9 {
-		t.Errorf("snapshot kinds = %d, want the 9 register-update kinds", len(SnapshotKinds))
+}
+
+// TestAppendStateNoAllocs: with room in dst, encoding the REF's state costs
+// no heap allocation — the checker's per-snapshot compare path.
+func TestAppendStateNoAllocs(t *testing.T) {
+	m := machine()
+	dst := make([]byte, 0, 2048)
+	for _, k := range SnapshotKinds {
+		if n := testing.AllocsPerRun(100, func() { AppendState(k, m, dst) }); n != 0 {
+			t.Errorf("AppendState(%v) allocates %.0f/op", k, n)
+		}
 	}
 }
 

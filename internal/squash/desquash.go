@@ -39,9 +39,17 @@ type taggedItem struct {
 	isSkip bool // a skipped (MMIO) commit: pre-applied at its tag
 }
 
+// coreDesq is one core's reorder state. Decoded NDE and diff events are
+// owned here: each is taken from free, queued until its tag, checked, and
+// returned to free — the checker keeps no event after Process — so a core
+// decodes without allocating once its free lists are warm. lastSeen holds
+// separate copies, the completion bases for diffs, which queued events
+// never alias.
 type coreDesq struct {
 	cc        *checker.CoreChecker
 	lastSeen  [event.NumKinds]event.Event
+	free      [event.NumKinds][]event.Event
+	enc       []byte // scratch for copying into lastSeen
 	queue     []taggedItem
 	digestAcc derive.Digest
 
@@ -73,24 +81,29 @@ func (d *Desquasher) Process(it wire.Item) *checker.Mismatch {
 
 	switch {
 	case it.IsNDE():
-		tag, ev, err := wire.DecodeNDE(it)
+		k, _ := it.Kind()
+		ev := cd.take(k)
+		tag, err := wire.DecodeNDE(it, ev)
 		if err != nil {
+			cd.recycle(ev)
 			return &checker.Mismatch{Core: it.Core, Detail: err.Error()}
 		}
-		if stateKind(ev.Kind()) {
+		if stateKind(k) {
 			// First-instance state snapshot: seed the completion base.
-			cd.lastSeen[ev.Kind()] = ev
+			cd.remember(ev)
 		}
 		return d.handleTagged(cd, taggedItem{tag: tag, rec: event.Record{Seq: tag, Core: it.Core, Ev: ev},
 			isSkip: isSkipCommit(ev)})
 
 	case it.Type >= wire.TypeDiffBase && it.Type < wire.TypeInvalid:
 		k, _ := it.Kind()
-		tag, ev, err := wire.DecodeDiff(it, cd.lastSeen[k])
+		ev := cd.take(k)
+		tag, err := wire.DecodeDiff(it, cd.lastSeen[k], ev)
 		if err != nil {
+			cd.recycle(ev)
 			return &checker.Mismatch{Core: it.Core, Kind: k, Detail: err.Error()}
 		}
-		cd.lastSeen[k] = ev
+		cd.remember(ev)
 		return d.handleTagged(cd, taggedItem{tag: tag, rec: event.Record{Seq: tag, Core: it.Core, Ev: ev}})
 
 	case it.IsFused():
@@ -117,11 +130,43 @@ func (d *Desquasher) Process(it wire.Item) *checker.Mismatch {
 		return nil
 
 	default: // raw item (Trap and friends)
-		rec, err := wire.ToRecord(it)
+		if it.Type >= wire.TypeNDEBase {
+			return &checker.Mismatch{Core: it.Core, Detail: fmt.Sprintf("wire: item type %d is not raw", it.Type)}
+		}
+		m, err := d.Chk.ProcessItem(it.Core, event.Kind(it.Type), it.Payload)
 		if err != nil {
 			return &checker.Mismatch{Core: it.Core, Detail: err.Error()}
 		}
-		return cd.cc.Process(rec)
+		return m
+	}
+}
+
+// take returns a decode target of kind k: a checked event from the free
+// list, or a new one while the list is cold.
+func (cd *coreDesq) take(k event.Kind) event.Event {
+	if n := len(cd.free[k]); n > 0 {
+		ev := cd.free[k][n-1]
+		cd.free[k] = cd.free[k][:n-1]
+		return ev
+	}
+	return event.InfoOf(k).New()
+}
+
+// recycle returns an event nothing references any more to its free list.
+func (cd *coreDesq) recycle(ev event.Event) {
+	k := ev.Kind()
+	cd.free[k] = append(cd.free[k], ev)
+}
+
+// remember copies ev into the completion base of its kind.
+func (cd *coreDesq) remember(ev event.Event) {
+	k := ev.Kind()
+	if cd.lastSeen[k] == nil {
+		cd.lastSeen[k] = event.InfoOf(k).New()
+	}
+	cd.enc = ev.AppendTo(cd.enc[:0])
+	if _, err := cd.lastSeen[k].DecodeFrom(cd.enc); err != nil {
+		panic(err) // an encoding of k always decodes as k
 	}
 }
 
@@ -144,12 +189,15 @@ func (d *Desquasher) handleTagged(cd *coreDesq, ti taggedItem) *checker.Mismatch
 		return d.applyTagged(cd, ti)
 	default: // late
 		d.LateSkipped.Add(1)
+		cd.recycle(ti.rec.Ev)
 		return nil
 	}
 }
 
 func (d *Desquasher) applyTagged(cd *coreDesq, ti taggedItem) *checker.Mismatch {
-	return cd.cc.Process(ti.rec)
+	m := cd.cc.Process(ti.rec)
+	cd.recycle(ti.rec.Ev)
+	return m
 }
 
 // drainAt processes the first queued item whose tag equals the reference

@@ -1,6 +1,7 @@
 package squash
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/event"
@@ -75,7 +76,8 @@ func TestNDEsGoAheadWithoutBreakingFusion(t *testing.T) {
 	for _, it := range out {
 		if it.IsNDE() {
 			ndes++
-			tag, ev, err := wire.DecodeNDE(it)
+			ev := new(event.Interrupt)
+			tag, err := wire.DecodeNDE(it, ev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +119,7 @@ func TestSkippedCommitGetsPreApplyTag(t *testing.T) {
 	if len(out) != 1 || !out[0].IsNDE() {
 		t.Fatalf("skip commit items = %v", out)
 	}
-	tag, _, err := wire.DecodeNDE(out[0])
+	tag, err := wire.DecodeNDE(out[0], new(event.InstrCommit))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +141,12 @@ func TestStateDifferencingChain(t *testing.T) {
 	if len(out2) != 1 || out2[0].Type < wire.TypeDiffBase {
 		t.Fatalf("second snapshot should be a diff, got %v", out2)
 	}
-	tag, ev, err := wire.DecodeDiff(out2[0], s1)
+	ev := new(event.CSRState)
+	tag, err := wire.DecodeDiff(out2[0], s1, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tag != 2 || !event.Equal(ev, s2) {
+	if tag != 2 || !reflect.DeepEqual(ev, s2) {
 		t.Errorf("diff completion: tag=%d", tag)
 	}
 	if len(out2[0].Payload) >= event.SizeOf(event.KindCSRState) {

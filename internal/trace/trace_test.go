@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -49,7 +50,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 		for j := range recs {
 			if recs[j].Seq != wantRecs[j].Seq || recs[j].Core != wantRecs[j].Core ||
-				!event.Equal(recs[j].Ev, wantRecs[j].Ev) {
+				!reflect.DeepEqual(recs[j].Ev, wantRecs[j].Ev) {
 				t.Fatalf("cycle %d record %d mismatch", i, j)
 			}
 		}

@@ -7,7 +7,9 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/event"
@@ -38,6 +40,8 @@ type Conn struct {
 	readSeq   uint64
 	readArmed bool // a read deadline is set and must be cleared if ReadTimeout drops to 0
 
+	interrupted atomic.Bool // SetDeadlineNow was called: every later read fails
+
 	// ReadTimeout bounds one blocking ReadFrame (0 = no deadline); the
 	// server uses it as the idle-session reaping horizon. WriteTimeout
 	// bounds one WriteFrame flush.
@@ -60,9 +64,16 @@ func NewConn(c net.Conn) *Conn {
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
 
-// SetDeadlineNow interrupts any blocked read or write; used by the server's
-// forced-drain path.
-func (c *Conn) SetDeadlineNow() { c.c.SetDeadline(time.Now()) }
+// SetDeadlineNow interrupts any blocked read or write, and fails every later
+// read; used by the server's forced-drain path. Without the flag a
+// force-drained session whose handler was busy at that moment would read on:
+// ReadFrame re-arms the socket deadline per frame and may be served from its
+// read buffer. Writes are not flagged: WriteFrame re-arms its own deadline,
+// so the handler can still say goodbye (an "idle" ErrorInfo) on its way out.
+func (c *Conn) SetDeadlineNow() {
+	c.interrupted.Store(true)
+	c.c.SetDeadline(time.Now())
+}
 
 // SetReadTimeout bounds one blocking ReadFrame (0 = no deadline).
 func (c *Conn) SetReadTimeout(d time.Duration) { c.ReadTimeout = d }
@@ -161,6 +172,11 @@ func (c *Conn) ReadFrame() (FrameHeader, []byte, error) {
 			return h, nil, frameErr("read", 0, c.readSeq, err)
 		}
 		c.readArmed = false
+	}
+	// Checked after arming: a SetDeadlineNow racing the arm either sees its
+	// expired deadline win or is seen here.
+	if c.interrupted.Load() {
+		return h, nil, frameErr("read", 0, c.readSeq, os.ErrDeadlineExceeded)
 	}
 	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {

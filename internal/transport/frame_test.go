@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/event"
 	"repro/internal/wire"
@@ -265,4 +267,50 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("pool imbalance: %d gets vs %d puts", gets1-gets0, puts1-puts0)
 		}
 	})
+}
+
+// TestFrameErrorFormatAndWrap pins the two FrameError renderings (with and
+// without decoded frame coordinates) and that frameErr never double-wraps.
+func TestFrameErrorFormatAndWrap(t *testing.T) {
+	bare := frameErr("read", 0, 0, io.ErrUnexpectedEOF)
+	if got, want := bare.Error(), "transport: frame read: unexpected EOF"; got != want {
+		t.Errorf("bare: %q, want %q", got, want)
+	}
+	placed := frameErr("write", FramePacket, 42, ErrBadChecksum)
+	var fe *FrameError
+	if !errors.As(placed, &fe) || fe.Type != FramePacket || fe.Seq != 42 || !errors.Is(placed, ErrBadChecksum) {
+		t.Fatalf("placed: %#v", placed)
+	}
+	if !strings.Contains(placed.Error(), "seq 42") {
+		t.Errorf("placed: %q lacks its frame coordinates", placed.Error())
+	}
+	if again := frameErr("read", 0, 0, placed); again != placed {
+		t.Errorf("frameErr re-wrapped a *FrameError: %v", again)
+	}
+}
+
+// TestConnDeadlineNowStopsLaterReads: after SetDeadlineNow a read still
+// fails even though ReadFrame re-arms a fresh per-frame deadline, so a
+// force-drained session cannot read on.
+func TestConnDeadlineNowStopsLaterReads(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	rx, tx := NewConn(a), NewConn(b)
+	rx.SetReadTimeout(time.Second)
+	go func() {
+		tx.WriteFrame(FramePacket, []byte("one"))
+		tx.WriteFrame(FramePacket, []byte("two")) // blocks until b closes
+	}()
+	_, p, err := rx.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx.ReleasePayload(p)
+
+	rx.SetDeadlineNow()
+	if _, p, err := rx.ReadFrame(); !isTimeout(err) {
+		rx.ReleasePayload(p)
+		t.Fatalf("read after SetDeadlineNow: %v, want a deadline expiry", err)
+	}
 }

@@ -421,3 +421,16 @@ func TestConsumeRejectsNonDataFrames(t *testing.T) {
 		t.Errorf("consume(FrameItems) checked %d events, want 1", got)
 	}
 }
+
+// TestMismatchReportRoundTrip: a verdict's mismatch survives the wire form
+// field for field, and "no mismatch" stays nil both ways.
+func TestMismatchReportRoundTrip(t *testing.T) {
+	if NewMismatchReport(nil) != nil || (*MismatchReport)(nil).ToChecker() != nil {
+		t.Fatal("nil mismatch did not stay nil")
+	}
+	m := &checker.Mismatch{Core: 1, Seq: 9, Kind: event.KindCSRState, PC: 0x80000010,
+		Detail: "state snapshot diverged", Fused: true}
+	if got := NewMismatchReport(m).ToChecker(); *got != *m {
+		t.Fatalf("round trip: %+v, want %+v", got, m)
+	}
+}

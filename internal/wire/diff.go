@@ -74,23 +74,24 @@ func DiffSize(prev, ev event.Event) int {
 }
 
 // DecodeDiff completes a diff item using the previous instance of the same
-// kind, returning the order tag and the reconstructed event.
-func DecodeDiff(it Item, prev event.Event) (tag uint64, ev event.Event, err error) {
+// kind, decoding the reconstructed event into dst (a value of that kind,
+// owned by the caller, not prev) and returning the order tag.
+func DecodeDiff(it Item, prev, dst event.Event) (tag uint64, err error) {
 	k, ok := it.Kind()
 	if !ok || it.Type < TypeDiffBase || it.Type >= TypeInvalid {
-		return 0, nil, fmt.Errorf("wire: item type %d is not a diff", it.Type)
+		return 0, fmt.Errorf("wire: item type %d is not a diff", it.Type)
 	}
 	if prev == nil || prev.Kind() != k {
-		return 0, nil, fmt.Errorf("wire: diff of %v lacks matching base", k)
+		return 0, fmt.Errorf("wire: diff of %v lacks matching base", k)
 	}
 	nWords, maskWords := diffWords(k)
 	if len(it.Payload) < 8+maskWords*8 {
-		return 0, nil, fmt.Errorf("wire: short diff payload for %v", k)
+		return 0, fmt.Errorf("wire: short diff payload for %v", k)
 	}
 	tag = binary.LittleEndian.Uint64(it.Payload)
 	body := it.Payload[8:]
-	// Pooled scratch holds the reconstructed encoding; event.Decode copies it
-	// into the returned event, so the scratch is safe to recycle after.
+	// Pooled scratch holds the reconstructed encoding; decoding copies it
+	// into dst, so the scratch is safe to recycle after.
 	buf := prev.AppendTo(event.GetBuf(prev.EncodedSize()))
 	pos := maskWords * 8
 	for w := 0; w < nWords; w++ {
@@ -98,7 +99,7 @@ func DecodeDiff(it Item, prev event.Event) (tag uint64, ev event.Event, err erro
 		if m&(1<<(w%64)) != 0 {
 			if pos+8 > len(body) {
 				event.PutBuf(buf)
-				return 0, nil, fmt.Errorf("wire: diff payload truncated for %v", k)
+				return 0, fmt.Errorf("wire: diff payload truncated for %v", k)
 			}
 			copy(buf[w*8:], body[pos:pos+8])
 			pos += 8
@@ -106,11 +107,11 @@ func DecodeDiff(it Item, prev event.Event) (tag uint64, ev event.Event, err erro
 	}
 	if pos != len(body) {
 		event.PutBuf(buf)
-		return 0, nil, fmt.Errorf("wire: diff payload for %v has %d trailing bytes", k, len(body)-pos)
+		return 0, fmt.Errorf("wire: diff payload for %v has %d trailing bytes", k, len(body)-pos)
 	}
-	ev, err = event.Decode(k, buf)
+	err = decodeInto(k, buf, dst)
 	event.PutBuf(buf)
-	return tag, ev, err
+	return tag, err
 }
 
 // ParseDiffLen scans a diff payload prefix for kind k starting at buf and

@@ -117,17 +117,31 @@ func DecodeRaw(it Item) (event.Event, error) {
 	return event.Decode(k, it.Payload)
 }
 
-// DecodeNDE reconstructs an NDE item's order tag and event.
-func DecodeNDE(it Item) (seq uint64, ev event.Event, err error) {
+// DecodeNDE decodes an NDE item's event into dst, which must be a value of
+// the item's kind, and returns the item's order tag. It allocates nothing:
+// the caller owns dst and may reuse it once done with the event.
+func DecodeNDE(it Item, dst event.Event) (seq uint64, err error) {
 	if !it.IsNDE() {
-		return 0, nil, fmt.Errorf("wire: item type %d is not an NDE", it.Type)
+		return 0, fmt.Errorf("wire: item type %d is not an NDE", it.Type)
 	}
 	if len(it.Payload) < 8 {
-		return 0, nil, fmt.Errorf("wire: short NDE payload")
+		return 0, fmt.Errorf("wire: short NDE payload")
 	}
 	k, _ := it.Kind()
-	ev, err = event.Decode(k, it.Payload[8:])
-	return binary.LittleEndian.Uint64(it.Payload), ev, err
+	return binary.LittleEndian.Uint64(it.Payload), decodeInto(k, it.Payload[8:], dst)
+}
+
+// decodeInto is event.Decode into a caller-owned value: data must be
+// exactly the wire size of k, and dst of kind k.
+func decodeInto(k event.Kind, data []byte, dst event.Event) error {
+	if dst.Kind() != k {
+		return fmt.Errorf("wire: decoding %v into a %v", k, dst.Kind())
+	}
+	if len(data) != event.SizeOf(k) {
+		return &event.DecodeError{Kind: k, Len: len(data), Err: event.ErrPayloadSize}
+	}
+	_, err := dst.DecodeFrom(data)
+	return err
 }
 
 // FusedCommit summarizes a fused run of instruction commits (paper §4.3):

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/event"
@@ -17,7 +18,7 @@ func TestRawItemRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !event.Equal(ev, back) {
+	if !reflect.DeepEqual(ev, back) {
 		t.Error("raw round trip mismatch")
 	}
 	if it.InstrCount() != 1 {
@@ -31,11 +32,12 @@ func TestNDEItemRoundTrip(t *testing.T) {
 	if !it.IsNDE() {
 		t.Fatal("not flagged NDE")
 	}
-	seq, back, err := DecodeNDE(it)
+	back := new(event.Interrupt)
+	seq, err := DecodeNDE(it, back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 99887 || !event.Equal(ev, back) {
+	if seq != 99887 || !reflect.DeepEqual(ev, back) {
 		t.Errorf("NDE round trip: seq=%d", seq)
 	}
 }
@@ -83,14 +85,15 @@ func TestDiffRoundTripAllSnapshotKinds(t *testing.T) {
 			if n, err := ParseDiffLen(k, it.Payload); err != nil || n != len(it.Payload) {
 				t.Fatalf("%v: ParseDiffLen = %d,%v want %d", k, n, err, len(it.Payload))
 			}
-			tag, back, err := DecodeDiff(it, prev)
+			back := event.InfoOf(k).New()
+			tag, err := DecodeDiff(it, prev, back)
 			if err != nil {
 				t.Fatalf("%v: %v", k, err)
 			}
 			if tag != 4242 {
 				t.Fatalf("%v: diff tag = %d", k, tag)
 			}
-			if !event.Equal(cur, back) {
+			if !reflect.DeepEqual(cur, back) {
 				t.Fatalf("%v: diff round trip mismatch", k)
 			}
 		}
@@ -107,11 +110,12 @@ func TestDiffSavesBytesWhenUnchanged(t *testing.T) {
 	if got := DiffSize(a, b); got != len(it.Payload) {
 		t.Errorf("DiffSize = %d, payload %d", got, len(it.Payload))
 	}
-	_, back, err := DecodeDiff(it, a)
+	back := new(event.CSRState)
+	_, err := DecodeDiff(it, a, back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !event.Equal(b, back) {
+	if !reflect.DeepEqual(b, back) {
 		t.Error("completion mismatch")
 	}
 }
