@@ -118,7 +118,7 @@ fuzz-campaign:
 # Checker, each core on its own scratch, so it runs under -race here too.
 integration:
 	$(GO) test -race -count=1 -run='TestLoopback|TestRemoteCancellation|TestFaultMatrix|TestDegraded|TestExecutedDualCoreFanout' -v ./internal/cosim
-	$(GO) test -race -count=1 -run='TestFleetChaosMigration|TestFleetAllShardsDeadDegrades|TestFleetBugLibraryEquivalence' -v ./internal/fleet
+	$(GO) test -race -count=1 -run='TestFleetChaosMigration|TestFleetLongTailMigration|TestFleetAllShardsDeadDegrades|TestFleetBugLibraryEquivalence' -v ./internal/fleet
 	$(GO) test -race -count=1 -run='TestFuzzRediscoversBugLibrary|TestFuzzBeatsRandomControl|TestCampaignDeterministicAcrossWorkers|TestExitSequenceSurvivesTimerInterrupt' -v ./internal/fuzz
 
 # Per-package statement coverage with a floor on the packages that carry the

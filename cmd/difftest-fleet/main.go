@@ -50,7 +50,7 @@ func main() {
 		statsInterval = flag.Duration("stats-interval", time.Second,
 			"shard health-poll cadence")
 		resumeWindow = flag.Duration("resume-window", transport.DefaultResumeWindow,
-			"keep broken sessions' journals this long for client resume/migration")
+			"keep broken sessions' records this long for client resume/migration")
 		grace = flag.Duration("grace", 10*time.Second,
 			"how long to let in-flight handlers finish on SIGINT/SIGTERM")
 		verbose = flag.Bool("v", false, "log per-session lifecycle events")

@@ -54,10 +54,10 @@ func BenchmarkFleetRoutedSession(b *testing.B) { benchFleetSession(b, true) }
 func BenchmarkFleetDirectSession(b *testing.B) { benchFleetSession(b, false) }
 
 // BenchmarkFleetForward1k drives the router's forwarding hot path with raw
-// frames: one op is 1000 data frames journaled, forwarded to a stub shard,
-// and credited back. B/op and allocs/op are the per-1000-frame bill of the
-// journal copy plus both pump directions — the number that must stay flat
-// for the router to claim pooled, steady-state forwarding.
+// frames: one op is 1000 data frames forwarded to a stub shard and credited
+// back. B/op and allocs/op are the per-1000-frame bill of both pump
+// directions — the number that must stay flat for the router to claim
+// pooled, steady-state forwarding.
 func BenchmarkFleetForward1k(b *testing.B) {
 	_, spec := startShard(b, transport.ServerConfig{NewSession: stubNewSession, Window: 8})
 	_, rspec, _ := startRouter(b, Config{

@@ -205,7 +205,7 @@ func TestRouterPollMarksBadStatsDown(t *testing.T) {
 
 // mismatchChecker is a stub whose second data frame diagnoses a fixed
 // mismatch — deterministically re-diagnosable, which is exactly what a
-// migrated session's journal replay must reproduce.
+// migrated session's retransmission must reproduce.
 type mismatchChecker struct{ events uint64 }
 
 var stubMismatch = &checker.Mismatch{Core: 1, Seq: 2, PC: 0x80000040, Detail: "stub drift"}
@@ -227,8 +227,9 @@ func (c *mismatchChecker) Finish() (transport.Final, error) { return transport.F
 func (c *mismatchChecker) Events() uint64                   { return c.events }
 
 // TestRouterVerdictSurvivesMigration: a mismatch diagnosed before the shard
-// dies must come back identical after migration — re-diagnosed by the
-// replayed journal, carried in the ResumeOK, and counted exactly once.
+// dies must come back identical after migration — carried in the ResumeOK,
+// re-diagnosed by the fresh shard as the client retransmits, and counted
+// exactly once.
 func TestRouterVerdictSurvivesMigration(t *testing.T) {
 	newMismatch := func(transport.Hello) (transport.SessionChecker, error) {
 		return &mismatchChecker{}, nil
@@ -262,25 +263,34 @@ func TestRouterVerdictSurvivesMigration(t *testing.T) {
 	conn2 := dialRaw(t, rspec)
 	writeCtl(t, conn2, transport.FrameResume, &transport.Resume{
 		Proto: transport.ProtoVersion, Session: w.Session, Token: w.ResumeToken,
-		Sent: 3, Acked: 3,
+		Sent: 3,
 	})
 	var ok transport.ResumeOK
 	readCtl(t, conn2, transport.FrameResumeOK, &ok)
-	if !ok.Migrated || ok.Verdict == nil || ok.Verdict.Mismatch == nil {
+	if !ok.Migrated || ok.Have != 0 || ok.Verdict == nil || ok.Verdict.Mismatch == nil {
 		t.Fatalf("migrated resume lost the verdict: %+v", ok)
 	}
 	if got := ok.Verdict.Mismatch.Detail; got != stubMismatch.Detail {
-		t.Fatalf("replayed diagnosis %q, want %q", got, stubMismatch.Detail)
+		t.Fatalf("carried diagnosis %q, want %q", got, stubMismatch.Detail)
 	}
-	if err := conn2.WriteFrame(transport.FrameEnd, nil); err != nil {
-		t.Fatal(err)
+	// The client retransmits all three frames; the fresh shard re-diagnoses
+	// the mismatch at the second, so the stream carries the (byte-identical)
+	// verdict again right after that frame's credit.
+	for i := 0; i < 3; i++ {
+		if err := conn2.WriteFrame(transport.FramePacket, []byte("frame")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The fresh shard re-diagnosed the mismatch during journal replay, so
-	// the stream carries the (byte-identical) verdict again before Done.
+	readCtl(t, conn2, transport.FrameCredit, nil)
+	readCtl(t, conn2, transport.FrameCredit, nil)
 	var again transport.Verdict
 	readCtl(t, conn2, transport.FrameVerdict, &again)
 	if again.Mismatch == nil || again.Mismatch.Detail != stubMismatch.Detail {
 		t.Fatalf("re-diagnosed verdict %+v diverged", again)
+	}
+	readCtl(t, conn2, transport.FrameCredit, nil)
+	if err := conn2.WriteFrame(transport.FrameEnd, nil); err != nil {
+		t.Fatal(err)
 	}
 	var fin transport.Verdict
 	readCtl(t, conn2, transport.FrameDone, &fin)
@@ -292,9 +302,13 @@ func TestRouterVerdictSurvivesMigration(t *testing.T) {
 	}
 }
 
-// TestRouterReplayBoundedByShardWindow: a journal longer than the shard's
-// token window must replay under credit flow — the rebuild blocks on the
-// fresh shard's credits instead of overrunning its window.
+// TestRouterReplayBoundedByShardWindow: a retransmitted stream longer than
+// the window flows into the fresh shard under its credits, and the router
+// swallows exactly Sent − window of them. The client (like transport.Client)
+// writes its whole tail before reading, holds tokens for only the last
+// window of it, and must see exactly that many credits: one fewer swallowed
+// puts a stray credit ahead of Done, one more leaves it waiting on a credit
+// that never comes.
 func TestRouterReplayBoundedByShardWindow(t *testing.T) {
 	servers := make(map[string]*transport.Server, 2)
 	var shards []string
@@ -322,15 +336,27 @@ func TestRouterReplayBoundedByShardWindow(t *testing.T) {
 	conn2 := dialRaw(t, rspec)
 	writeCtl(t, conn2, transport.FrameResume, &transport.Resume{
 		Proto: transport.ProtoVersion, Session: w.Session, Token: w.ResumeToken,
-		Sent: 5, Acked: 5,
+		Sent: 5,
 	})
 	var ok transport.ResumeOK
 	readCtl(t, conn2, transport.FrameResumeOK, &ok)
-	if ok.Have != 5 || !ok.Migrated {
-		t.Fatalf("resume %+v, want Have=5 Migrated=true", ok)
+	if ok.Have != 0 || !ok.Migrated {
+		t.Fatalf("resume %+v, want Have=0 Migrated=true", ok)
 	}
-	if ack := sendPacket(t, conn2, []byte("frame")); ack != 6 {
-		t.Fatalf("post-replay credit acks %d, want 6", ack)
+	for i := 0; i < 5; i++ {
+		if err := conn2.WriteFrame(transport.FramePacket, []byte("frame")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ { // 5 − 2 swallowed
+		var cr transport.Credit
+		readCtl(t, conn2, transport.FrameCredit, &cr)
+		if cr.Ack != 0 {
+			t.Fatalf("tail credit %d has Ack=%d, want 0", i, cr.Ack)
+		}
+	}
+	if ack := sendPacket(t, conn2, []byte("frame")); ack != 0 {
+		t.Fatalf("post-retransmission credit has Ack=%d, want 0", ack)
 	}
 	if err := conn2.WriteFrame(transport.FrameEnd, nil); err != nil {
 		t.Fatal(err)

@@ -4,18 +4,19 @@
 // per-tenant admission quotas and fair-share token windows, and migrates
 // live sessions off dead or draining shards without changing their verdicts.
 //
-// The router keeps no durable state and no placement table: where a session
-// belongs is a pure function of its handshake key and the live shard set, so
-// any router replica computes the same answer. What it does keep, per live
-// session, is a journal — a pooled copy of every data frame it has forwarded.
-// That journal is what makes migration honest: a checker is stateful, so a
-// session moved to a new shard must replay its entire acknowledged prefix
-// into a fresh checker there, and only the client's own replay window (the
-// unacknowledged tail) rides in over the resume handshake. Migration is
-// therefore literally a forced resume: the router redirects (or the client's
-// stall detection fires), the client redials with its normal Resume frame,
-// and the router answers it after rebuilding the backend — same machinery,
-// different shard, byte-identical stream, byte-identical verdict.
+// The router keeps no durable state, no placement table and no frame bytes:
+// where a session belongs is a pure function of its handshake key and the
+// live shard set, so any router replica computes the same answer. The one
+// retransmission buffer is the client's own replay window. A checker is
+// stateful, so a session moved to a new shard must replay its whole stream
+// into a fresh checker there; the router therefore forwards shard credits
+// with their acks zeroed, the client keeps every frame it sent, and a
+// rebuild answers the resume with Have = 0. Migration is literally a forced
+// resume: the router redirects (or the client's stall detection fires), the
+// client redials with its normal Resume frame and retransmits, and the router
+// feeds that retransmission to the fresh backend under the shard's window —
+// same machinery, different shard, byte-identical stream, byte-identical
+// verdict.
 package fleet
 
 import (
@@ -67,7 +68,7 @@ type Config struct {
 	// HandshakeTimeout bounds the wait for a connection's first frame
 	// (0 = transport default).
 	HandshakeTimeout time.Duration
-	// ResumeWindow is how long a broken session's journal is kept for the
+	// ResumeWindow is how long a broken session's record is kept for the
 	// client to resume (0 = transport default). Unlike difftestd, a router
 	// cannot disable it — resume is the migration mechanism.
 	ResumeWindow time.Duration
@@ -428,7 +429,7 @@ func (r *Router) UndrainShard(addr string) (transport.DrainReply, bool) {
 }
 
 // Shutdown stops the router: listeners close, every live connection is torn
-// down, and all session journals drain back to the buffer pool. Unlike a
+// down, and every session record is dropped. Unlike a
 // shard, a router has no work of its own to let finish — clients that lose
 // it resume against another router or degrade — so Shutdown is immediate;
 // ctx bounds the wait for in-flight handlers.
@@ -463,17 +464,9 @@ func (r *Router) Shutdown(ctx context.Context) error {
 		<-done
 	}
 
-	// Handlers are gone; whatever sessions remain release their journals.
 	r.mu.Lock()
-	sessions := make([]*rsession, 0, len(r.sessions))
-	for _, s := range r.sessions {
-		sessions = append(sessions, s)
-	}
 	r.sessions = make(map[uint64]*rsession)
 	r.mu.Unlock()
-	for _, s := range sessions {
-		s.releaseJournal()
-	}
 	return err
 }
 
@@ -492,8 +485,7 @@ func (r *Router) Migrations() uint64 { return r.migrations.Load() }
 // Refused reports admissions refused at the router (quota or no shard).
 func (r *Router) Refused() uint64 { return r.refused.Load() }
 
-// reapSessions drops parked session records past the resume window,
-// returning their journals to the pool.
+// reapSessions drops parked session records past the resume window.
 func (r *Router) reapSessions(now time.Time) {
 	var expired []*rsession
 	r.mu.Lock()
@@ -510,7 +502,6 @@ func (r *Router) reapSessions(now time.Time) {
 	}
 	r.mu.Unlock()
 	for _, s := range expired {
-		s.releaseJournal()
 		r.logf("session %d: resume window expired, reaped", s.id)
 	}
 }
@@ -530,14 +521,13 @@ func (r *Router) releaseTenantLocked(s *rsession) {
 }
 
 // dropSession removes a session record entirely (fatal protocol error) and
-// releases everything it holds.
+// releases its tenant slot and shard placement.
 func (r *Router) dropSession(s *rsession) {
 	r.mu.Lock()
 	delete(r.sessions, s.id)
 	r.releaseTenantLocked(s)
 	r.unplaceLocked(s)
 	r.mu.Unlock()
-	s.releaseJournal()
 }
 
 // sessionDone marks a session's final verdict delivered: it stops counting

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -89,13 +91,18 @@ func fleetVerdictEq(t *testing.T, ref, got *cosim.Result, context string) {
 	}
 }
 
-// cosimFleet starts n production shards and a router over them.
-func cosimFleet(t *testing.T, n int, cfg Config) (*Router, string, func(), map[string]*transport.Server, []*transport.Server) {
+// cosimFleet starts n production shards and a router over them. A non-nil
+// gate holds every shard session at its first packet (see shardGate).
+func cosimFleet(t *testing.T, n int, cfg Config, gate *shardGate) (*Router, string, func(), map[string]*transport.Server, []*transport.Server) {
 	t.Helper()
 	servers := make(map[string]*transport.Server, n)
 	var order []*transport.Server
 	for i := 0; i < n; i++ {
-		srv, spec := startShard(t, transport.ServerConfig{NewSession: cosim.NewSession, Window: 8})
+		newSession := cosim.NewSession
+		if gate != nil {
+			newSession = gate.newSession(i)
+		}
+		srv, spec := startShard(t, transport.ServerConfig{NewSession: newSession, Window: 8})
 		cfg.Shards = append(cfg.Shards, spec)
 		servers[canonSpec(t, spec)] = srv
 		order = append(order, srv)
@@ -113,11 +120,47 @@ func cosimFleet(t *testing.T, n int, cfg Config) (*Router, string, func(), map[s
 	return r, spec, stop, servers, order
 }
 
+// checkPoolsBalance asserts every pooled buffer taken since the (gets0,
+// puts0) snapshot is back in the pool.
+func checkPoolsBalance(t *testing.T, gets0, puts0 uint64, context string) {
+	t.Helper()
+	gets1, puts1 := event.PoolStats()
+	if gets1-gets0 != puts1-puts0 {
+		t.Errorf("pool imbalance %s: %d gets vs %d puts", context, gets1-gets0, puts1-puts0)
+	}
+}
+
+// checkNoLeakedGoroutines polls for up to 2s until no goroutine but the
+// caller's has a fleet or transport frame in its stack (router pumps, shard
+// handlers, client readers), then reports the stragglers.
+func checkNoLeakedGoroutines(t *testing.T) {
+	t.Helper()
+	var leaked [][]byte
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		leaked = leaked[:0]
+		// The first stack is this goroutine's own.
+		for _, g := range bytes.Split(buf, []byte("\n\n"))[1:] {
+			if bytes.Contains(g, []byte("repro/internal/fleet.")) ||
+				bytes.Contains(g, []byte("repro/internal/transport.")) {
+				leaked = append(leaked, g)
+			}
+		}
+		if len(leaked) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, g := range leaked {
+		t.Errorf("goroutine outlived the fleet:\n%s", g)
+	}
+}
+
 // TestFleetChaosMigration is the headline gate: concurrent clean and buggy
 // runs through a 3-shard fleet, one shard killed mid-run. Every session must
 // reach its in-process verdict (no degradation — two healthy shards remain),
-// at least one session must migrate, and the buffer pools must balance once
-// the fleet is torn down.
+// at least one session must migrate, and once the fleet is torn down the
+// buffer pools must balance and no fleet or transport goroutine may linger.
 func TestFleetChaosMigration(t *testing.T) {
 	cells := []struct {
 		bug  string
@@ -149,7 +192,11 @@ func TestFleetChaosMigration(t *testing.T) {
 		}
 	}
 
-	r, spec, stopRouter, servers, order := cosimFleet(t, 3, Config{})
+	// Every shard holds its sessions at their first packet until the kill
+	// has landed, so the killed shard's session cannot finish there first.
+	gate := newShardGate()
+	t.Cleanup(gate.open) // runs before the shards' Shutdown, which waits for held handlers
+	r, spec, stopRouter, _, order := cosimFleet(t, 3, Config{}, gate)
 	gets0, puts0 := event.PoolStats()
 
 	routedParams := make([]cosim.Params, len(cells))
@@ -170,14 +217,24 @@ func TestFleetChaosMigration(t *testing.T) {
 		}(i)
 	}
 
-	// Kill whichever shard is hosting sessions, as soon as one is.
-	var killed string
-	waitFor(t, 10*time.Second, "a shard to host live sessions", func() bool {
-		killed = shardHosting(r)
-		return killed != ""
+	// Kill the shard a session first entered, then let every session go.
+	var victim int
+	select {
+	case victim = <-gate.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no session's first packet reached a shard")
+	}
+	killed := make(chan struct{})
+	go func() {
+		killShard(order[victim])
+		close(killed)
+	}()
+	waitFor(t, 10*time.Second, "the router to see the killed shard down", func() bool {
+		return r.StatsInfo().Shards[victim].State == StateDown
 	})
-	killShard(servers[killed])
-	t.Logf("killed shard %s mid-run", killed)
+	gate.open()
+	<-killed
+	t.Logf("killed shard %d mid-run", victim)
 
 	wg.Wait()
 	migrations := uint64(0)
@@ -208,31 +265,137 @@ func TestFleetChaosMigration(t *testing.T) {
 	}
 
 	// Tear the whole fleet down and check both wire ends' pools balance:
-	// every journaled frame the router copied must be back in the pool.
+	// every frame a client windowed must be back in the pool.
 	stopRouter()
 	for _, srv := range order {
 		killShard(srv) // all sessions are done; this just closes them out
 	}
-	gets1, puts1 := event.PoolStats()
-	if gets1-gets0 != puts1-puts0 {
-		t.Errorf("pool imbalance across the fleet: %d gets vs %d puts",
-			gets1-gets0, puts1-puts0)
+	checkPoolsBalance(t, gets0, puts0, "across the fleet")
+	checkNoLeakedGoroutines(t)
+}
+
+// TestFleetLongTailMigration: a routed session whose shard dies after it has
+// streamed fifty windows' worth of frames. The router holds no copy, so the
+// client retransmits its whole stream — hundreds of frames, far beyond its
+// window — through the router into a fresh shard. The router must swallow
+// the shard credits for all but the last window of that tail (the client is
+// still writing it and expects no more); forwarding them stalls the client
+// until it degrades.
+func TestFleetLongTailMigration(t *testing.T) {
+	const window = 8 // cosimFleet's shard window; no tenant share applies
+	params := func(addr string) cosim.Params {
+		p := fleetParams(t, "", addr, 5)
+		opt, err := cosim.ParseConfig("EBIN")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Executed = true
+		p.Opt = opt
+		p.Workload.TargetInstrs = 120_000
+		p.Platform.PacketBytes = 1024
+		return p
+	}
+	ref, err := cosim.Run(params(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r, spec, stopRouter, servers, order := cosimFleet(t, 2, Config{}, nil)
+	gets0, puts0 := event.PoolStats()
+	p := params(spec)
+	p.RemoteCfg = routedCfg()
+	type outcome struct {
+		res *cosim.Result
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := cosim.Run(p)
+		ch <- outcome{res, err}
+	}()
+
+	var host string
+	waitFor(t, 60*time.Second, "the router to forward fifty windows", func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, s := range r.sessions {
+			s.mu.Lock()
+			frames, addr := s.frames, s.shardAddr
+			s.mu.Unlock()
+			if frames >= 50*window {
+				host = addr
+				return true
+			}
+		}
+		return false
+	})
+	killShard(servers[host])
+
+	got := <-ch
+	if got.err != nil {
+		t.Fatalf("routed run: %v", got.err)
+	}
+	if got.res.Degraded {
+		t.Fatal("long-tail migration degraded with a healthy shard left")
+	}
+	ex := got.res.Exec
+	if ex == nil || ex.Migrations < 1 || ex.ReplayedFrames < 50*window {
+		t.Fatalf("want ≥1 migration retransmitting ≥%d frames, metrics %+v", 50*window, ex)
+	}
+	t.Logf("migrated %d time(s), %d frames retransmitted", ex.Migrations, ex.ReplayedFrames)
+	fleetVerdictEq(t, ref, got.res, "long tail")
+
+	stopRouter()
+	for _, srv := range order {
+		killShard(srv)
+	}
+	checkPoolsBalance(t, gets0, puts0, "after a long-tail migration")
+	checkNoLeakedGoroutines(t)
+}
+
+// shardGate holds shard sessions at their first packet until open is
+// called, and reports on entered the index of the shard where the first
+// session was held.
+type shardGate struct {
+	entered chan int
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func newShardGate() *shardGate {
+	return &shardGate{entered: make(chan int, 1), gate: make(chan struct{})}
+}
+
+// open releases every held session, now and later; idempotent.
+func (g *shardGate) open() { g.once.Do(func() { close(g.gate) }) }
+
+// newSession builds shard i's production checker sessions, held at the gate.
+func (g *shardGate) newSession(i int) transport.NewSessionFunc {
+	return func(h transport.Hello) (transport.SessionChecker, error) {
+		s, err := cosim.NewSession(h)
+		if err != nil {
+			return nil, err
+		}
+		return &heldSession{SessionChecker: s, shard: i, g: g}, nil
 	}
 }
 
 // heldSession is a production checker session whose first Packet reports
-// on entered, then waits for gate.
+// its shard on the gate, then waits for the gate to open.
 type heldSession struct {
 	transport.SessionChecker
-	once    sync.Once
-	entered chan<- struct{}
-	gate    <-chan struct{}
+	once  sync.Once
+	shard int
+	g     *shardGate
 }
 
 func (h *heldSession) Packet(buf []byte) (*checker.Mismatch, error) {
 	h.once.Do(func() {
-		close(h.entered)
-		<-h.gate
+		select {
+		case h.g.entered <- h.shard:
+		default: // an earlier session already reported
+		}
+		<-h.g.gate
 	})
 	return h.SessionChecker.Packet(buf)
 }
@@ -250,18 +413,9 @@ func TestFleetAllShardsDeadDegrades(t *testing.T) {
 	// The shard holds the session at its first packet until the kill has
 	// landed, so the run cannot complete there first, however fast it checks
 	// or however late this goroutine is scheduled.
-	entered, gate := make(chan struct{}), make(chan struct{})
-	shard, shardSpec := startShard(t, transport.ServerConfig{Window: 8,
-		NewSession: func(h transport.Hello) (transport.SessionChecker, error) {
-			s, err := cosim.NewSession(h)
-			if err != nil {
-				return nil, err
-			}
-			return &heldSession{SessionChecker: s, entered: entered, gate: gate}, nil
-		}})
-	var opened sync.Once
-	openGate := func() { opened.Do(func() { close(gate) }) }
-	t.Cleanup(openGate) // runs before the shard's Shutdown, which waits for the held handler
+	gate := newShardGate()
+	shard, shardSpec := startShard(t, transport.ServerConfig{Window: 8, NewSession: gate.newSession(0)})
+	t.Cleanup(gate.open) // runs before the shard's Shutdown, which waits for the held handler
 	r, spec, stopRouter := startRouter(t, Config{
 		Shards: []string{shardSpec}, StatsInterval: 20 * time.Millisecond,
 		DialTimeout: 2 * time.Second, ResumeWindow: time.Minute,
@@ -281,7 +435,7 @@ func TestFleetAllShardsDeadDegrades(t *testing.T) {
 	}()
 
 	select {
-	case <-entered:
+	case <-gate.entered:
 	case <-time.After(30 * time.Second):
 		t.Fatal("the session's first packet never reached the shard")
 	}
@@ -298,7 +452,7 @@ func TestFleetAllShardsDeadDegrades(t *testing.T) {
 		st := r.StatsInfo()
 		return len(st.Shards) == 1 && st.Shards[0].State == "down"
 	})
-	openGate()
+	gate.open()
 	<-killed
 
 	got := <-ch
@@ -320,11 +474,7 @@ func TestFleetAllShardsDeadDegrades(t *testing.T) {
 	}
 
 	stopRouter()
-	gets1, puts1 := event.PoolStats()
-	if gets1-gets0 != puts1-puts0 {
-		t.Errorf("pool imbalance after degradation: %d gets vs %d puts",
-			gets1-gets0, puts1-puts0)
-	}
+	checkPoolsBalance(t, gets0, puts0, "after degradation")
 }
 
 // TestFleetTenantQuotaAdmission: a tenant at its cap is refused while
@@ -333,7 +483,7 @@ func TestFleetAllShardsDeadDegrades(t *testing.T) {
 func TestFleetTenantQuotaAdmission(t *testing.T) {
 	r, spec, _, _, _ := cosimFleet(t, 2, Config{
 		Quotas: map[string]Quota{"ci": {MaxSessions: 1}},
-	})
+	}, nil)
 
 	// A raw held-open session pins ci at its quota. The handshake must be
 	// one the production shard accepts: real DUT, platform, and workload.
@@ -380,7 +530,7 @@ func TestFleetBugLibraryEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bug-library sweep is long")
 	}
-	_, spec, _, _, _ := cosimFleet(t, 3, Config{})
+	_, spec, _, _, _ := cosimFleet(t, 3, Config{}, nil)
 
 	ids := []string{""}
 	for _, b := range bugs.Library() {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/event"
 	"repro/internal/transport"
 )
 
@@ -17,18 +16,12 @@ func placementKey(h transport.Hello) string {
 		h.Tenant, h.DUT, h.Platform, h.Config, h.Workload, h.TargetInstrs, h.Seed)
 }
 
-// jframe is one journaled data frame: a pooled copy of the payload exactly
-// as the client sent it, kept so a migrated session can be replayed into a
-// fresh checker byte-for-byte.
-type jframe struct {
-	typ uint8
-	buf []byte // pooled (event.GetBuf), exactly the payload bytes
-}
-
-// rsession is the router's record of one client session: identity, the
-// original handshake (replayed to open a backend anywhere), and the data
-// journal. The record outlives any single client or shard connection — it
-// is parked between connections and reaped after the resume window.
+// rsession is the router's record of one client session: identity and the
+// original handshake (replayed to open a backend anywhere). It holds no
+// frame bytes — the client's replay window is the session's only
+// retransmission buffer. The record outlives any single client or shard
+// connection: it is parked between connections and reaped after the resume
+// window.
 type rsession struct {
 	id     uint64
 	token  uint64
@@ -42,55 +35,17 @@ type rsession struct {
 	tenantHeld bool
 	placedAddr string
 
-	mu      sync.Mutex
-	journal []jframe
-	// frames counts the data frames journaled: the session's received-frame
-	// count, which outlives the journal itself (released at Done).
-	frames   uint64
-	released bool
-	endSent  bool
-	verdict  *transport.Verdict
-	final    *transport.Verdict
+	mu sync.Mutex
+	// frames counts the data frames forwarded to the current backend; a
+	// rebuild resets it, and the client's retransmission counts it back up.
+	frames  uint64
+	verdict *transport.Verdict
+	final   *transport.Verdict
 	// shardAddr is the backend currently (or last) serving this session.
 	shardAddr string
-	// swallowUntil is the journal prefix the current backend received via
-	// router replay rather than from the client: shard credits acking at or
-	// below it return router replay tokens and are not forwarded.
-	swallowUntil uint64
-	attached     *proxy
-	parkedAt     time.Time
-	resumes      int
-}
-
-// journalAppend copies one client data frame into the journal, returning
-// the new journal length (the session's received-frame count).
-func (s *rsession) journalAppend(typ uint8, payload []byte) int {
-	buf := event.GetBuf(len(payload))[:len(payload)]
-	copy(buf, payload)
-	s.mu.Lock()
-	s.journal = append(s.journal, jframe{typ: typ, buf: buf})
-	s.frames++
-	n := s.frames
-	s.mu.Unlock()
-	return int(n)
-}
-
-// releaseJournal drains the journal back to the buffer pool; idempotent. A
-// completed session releases it at Done — a final verdict is replayed from
-// s.final and s.frames, never rebuilt — so only in-flight and broken
-// sessions hold their stream's bytes while parked.
-func (s *rsession) releaseJournal() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.released {
-		return
-	}
-	s.released = true
-	for i := range s.journal {
-		event.PutBuf(s.journal[i].buf)
-		s.journal[i] = jframe{}
-	}
-	s.journal = nil
+	attached  *proxy
+	parkedAt  time.Time
+	resumes   int
 }
 
 // setVerdict records the first mismatch verdict (rebuilt checkers
@@ -119,14 +74,12 @@ func (s *rsession) setFinal(v *transport.Verdict, r *Router) {
 	s.mu.Unlock()
 }
 
-// backend is one live router→shard session: the framed connection, the
-// shard's grant, and the replay bookkeeping from opening it.
+// backend is one live router→shard session: the framed connection and the
+// shard's grant.
 type backend struct {
 	conn    transport.FrameTransport
 	addr    string
 	welcome transport.Welcome
-	avail   int    // shard tokens not spent by the replay
-	acked   uint64 // highest shard Credit.Ack seen during replay
 }
 
 // openSession handles a client Hello: admission, placement, backend open,
@@ -171,7 +124,7 @@ func (r *Router) openSession(conn transport.FrameTransport, h transport.FrameHea
 	}
 
 	key := placementKey(hello)
-	b, ei, addr := r.connectBackend(hello, nil, key)
+	b, ei, addr := r.connectBackend(hello, key)
 	if b == nil {
 		releaseSlot()
 		r.refused.Add(1)
@@ -209,7 +162,7 @@ func (r *Router) openSession(conn transport.FrameTransport, h transport.FrameHea
 	}
 	r.logf("session %d: %s/%s/%s tenant=%q → %s (window %d of shard %d)",
 		id, hello.DUT, hello.Config, hello.Workload, tenant, addr, s.window, b.welcome.Tokens)
-	r.runProxy(conn, s, b)
+	r.runProxy(conn, s, b, 0)
 }
 
 // publishSession creates the record of an admitted session (its tenant slot
@@ -217,8 +170,7 @@ func (r *Router) openSession(conn transport.FrameTransport, h transport.FrameHea
 // when the router began draining meanwhile. The record is born parked as of
 // now: it has no attachment until runProxy installs one, and a reap landing
 // in that gap must measure the resume window from publication — measured
-// from the zero time, the live session would be reaped and the frames it
-// journals afterwards never released.
+// from the zero time, the live session would be reaped from under its client.
 func (r *Router) publishSession(hello transport.Hello, key, addr string, window int) *rsession {
 	id := r.nextID.Add(1)
 	s := &rsession{
@@ -243,8 +195,9 @@ func (r *Router) publishSession(hello transport.Hello, key, addr string, window 
 }
 
 // resumeSession handles a client Resume: find the record, kick any stale
-// proxy, rebuild the backend by journal replay (same shard or — migration —
-// a different one), answer ResumeOK, and pump.
+// proxy, rebuild the backend on a fresh shard session (same shard or —
+// migration — a different one), answer ResumeOK, and pump the client's
+// retransmitted window into it.
 func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameHeader, payload []byte) {
 	var req transport.Resume
 	err := unmarshalFrame(h.Type, payload, &req)
@@ -293,15 +246,15 @@ func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameH
 	}
 
 	s.mu.Lock()
-	jlen := s.frames
+	frames := s.frames
 	final := s.final
 	oldAddr := s.shardAddr
 	s.resumes++
 	resumes := s.resumes
 	s.mu.Unlock()
-	if req.Sent < jlen {
+	if req.Sent < frames {
 		r.refuse(conn, "resume", fmt.Sprintf(
-			"client sent %d data frames but session %d forwarded %d", req.Sent, s.id, jlen))
+			"client sent %d data frames but session %d forwarded %d", req.Sent, s.id, frames))
 		return
 	}
 	r.resumed.Add(1)
@@ -309,17 +262,18 @@ func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameH
 	if final != nil {
 		// The session already completed; replay the Done payload and park
 		// again so even a lost ResumeOK can be retried until reap.
-		ok := transport.ResumeOK{Have: jlen, Tokens: s.window, Final: final}
+		ok := transport.ResumeOK{Have: frames, Tokens: s.window, Final: final}
 		conn.WriteFrame(transport.FrameResumeOK, marshalFrame(&ok))
 		r.park(s, "completed, final verdict replayed")
 		return
 	}
 
 	// Rebuild the backend. Same machinery either way: a fresh shard session
-	// fed the full journal. The HRW walk decides where it lands — the same
-	// shard if only the client link blipped, the next-ranked one if the
-	// shard is down or draining. That second case is the live migration.
-	b, ei, addr := r.connectBackend(s.hello, s, s.key)
+	// that the client's retransmission refills from frame one. The HRW walk
+	// decides where it lands — the same shard if only the client link
+	// blipped, the next-ranked one if the shard is down or draining. That
+	// second case is the live migration.
+	b, ei, addr := r.connectBackend(s.hello, s.key)
 	if b == nil {
 		r.refused.Add(1)
 		if ei != nil {
@@ -336,33 +290,42 @@ func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameH
 	}
 	s.mu.Lock()
 	s.shardAddr = addr
-	s.swallowUntil = jlen
-	verdict := s.verdict // the replay may have re-diagnosed a mismatch
+	s.frames = 0
+	verdict := s.verdict // diagnosed before the rebuild; the new shard re-diagnoses it
 	s.mu.Unlock()
 	r.mu.Lock()
 	r.placeLocked(s, addr)
 	r.mu.Unlock()
 
-	ok := transport.ResumeOK{Have: jlen, Tokens: s.window, Verdict: verdict, Migrated: migrated}
+	// Have stays 0: the fresh shard holds nothing, and the router kept no
+	// acked prefix (it forwards every credit with Ack zeroed), so the client
+	// retransmits its whole stream. The client writes that tail before it
+	// reads again and expects credits for only its last window of frames;
+	// the shard credits for the rest are swallowed (see pumpBackend).
+	ok := transport.ResumeOK{Tokens: s.window, Verdict: verdict, Migrated: migrated}
 	if err := conn.WriteFrame(transport.FrameResumeOK, marshalFrame(&ok)); err != nil {
 		b.conn.Close()
 		r.park(s, "resume-ok write failed")
 		return
 	}
-	r.logf("session %d: resumed (#%d) onto %s (migrated=%v, journal %d, shard window %d)",
-		s.id, resumes, addr, migrated, jlen, b.welcome.Tokens)
-	r.runProxy(conn, s, b)
+	var swallow uint64
+	if w := uint64(s.window); req.Sent > w {
+		swallow = req.Sent - w
+	}
+	r.logf("session %d: resumed (#%d) onto %s (migrated=%v, retransmitting %d, shard window %d)",
+		s.id, resumes, addr, migrated, req.Sent, b.welcome.Tokens)
+	r.runProxy(conn, s, b, swallow)
 }
 
 // connectBackend walks the placement ranking and opens a shard session for
-// hello, replaying s's journal when resuming. Returns the backend and its
-// shard, or the shard's client-level refusal (to relay), or (nil, nil, "")
-// when no shard would take the session. Dial and I/O failures mark the
-// shard down and fall through to the next candidate; "overloaded" refusals
-// fall through without the down mark.
-func (r *Router) connectBackend(hello transport.Hello, s *rsession, key string) (*backend, *transport.ErrorInfo, string) {
+// hello. Returns the backend and its shard, or the shard's client-level
+// refusal (to relay), or (nil, nil, "") when no shard would take the
+// session. Dial and I/O failures mark the shard down and fall through to
+// the next candidate; "overloaded" refusals fall through without the down
+// mark.
+func (r *Router) connectBackend(hello transport.Hello, key string) (*backend, *transport.ErrorInfo, string) {
 	for _, addr := range r.candidates(key) {
-		b, ei, err := r.openBackend(hello, s, addr)
+		b, ei, err := r.openBackend(hello, addr)
 		if err != nil {
 			r.markDown(addr, err)
 			continue
@@ -379,10 +342,9 @@ func (r *Router) connectBackend(hello transport.Hello, s *rsession, key string) 
 	return nil, nil, ""
 }
 
-// openBackend dials one shard, performs the Hello handshake with the
-// client's original handshake frame, and — when s is non-nil — replays the
-// session's journal into the fresh checker under the shard's token window.
-func (r *Router) openBackend(hello transport.Hello, s *rsession, addr string) (*backend, *transport.ErrorInfo, error) {
+// openBackend dials one shard and performs the Hello handshake with the
+// client's original handshake frame.
+func (r *Router) openBackend(hello transport.Hello, addr string) (*backend, *transport.ErrorInfo, error) {
 	conn, err := r.dialShard(addr)
 	if err != nil {
 		return nil, nil, err
@@ -431,78 +393,7 @@ func (r *Router) openBackend(hello transport.Hello, s *rsession, addr string) (*
 		conn.Close()
 		return nil, nil, fmt.Errorf("fleet: shard %s granted a %d-token window", addr, w.Tokens)
 	}
-	b := &backend{conn: conn, addr: addr, welcome: w, avail: w.Tokens}
-	if s != nil {
-		if err := b.replayJournal(r, s); err != nil {
-			conn.Close()
-			return nil, nil, err
-		}
-	}
-	return b, nil, nil
-}
-
-// replayJournal feeds the session's journal into a freshly opened shard
-// session, respecting the shard's token window: when the window is dry it
-// blocks on the shard's credits (the handshake read deadline bounds the
-// wait). The replayed prefix is byte-identical to what the client sent, so
-// the rebuilt checker reaches the identical state — and re-diagnoses the
-// identical mismatch, which is recorded, not forwarded twice.
-func (b *backend) replayJournal(r *Router, s *rsession) error {
-	s.mu.Lock()
-	journal := s.journal // no proxy is attached during a rebuild
-	s.mu.Unlock()
-	for _, jf := range journal {
-		for b.avail == 0 {
-			h, payload, err := b.conn.ReadFrame()
-			if err != nil {
-				return err
-			}
-			switch h.Type {
-			case transport.FrameCredit:
-				var cr transport.Credit
-				err := unmarshalFrame(h.Type, payload, &cr)
-				b.conn.ReleasePayload(payload)
-				if err != nil {
-					return err
-				}
-				b.avail += cr.Tokens
-				if cr.Ack > b.acked {
-					b.acked = cr.Ack
-				}
-			case transport.FrameVerdict:
-				var v transport.Verdict
-				err := unmarshalFrame(h.Type, payload, &v)
-				b.conn.ReleasePayload(payload)
-				if err != nil {
-					return err
-				}
-				s.setVerdict(&v, r)
-			case transport.FrameErrorInfo:
-				var ei transport.ErrorInfo
-				err := unmarshalFrame(h.Type, payload, &ei)
-				b.conn.ReleasePayload(payload)
-				if err != nil {
-					return err
-				}
-				return &ei
-			case transport.FrameHello, transport.FrameWelcome, transport.FramePacket,
-				transport.FrameItems, transport.FrameEnd, transport.FrameDone,
-				transport.FrameResume, transport.FrameResumeOK, transport.FrameStats,
-				transport.FrameDrain, transport.FrameRedirect:
-				// Mid-replay a shard speaks only credits and verdicts (Done
-				// needs an End the router has not sent).
-				fallthrough
-			default:
-				b.conn.ReleasePayload(payload)
-				return errUnexpectedFrame("journal replay", h.Type)
-			}
-		}
-		if err := b.conn.WriteFrame(jf.typ, jf.buf); err != nil {
-			return err
-		}
-		b.avail--
-	}
-	return nil
+	return &backend{conn: conn, addr: addr, welcome: w}, nil, nil
 }
 
 // Proxy outcomes, decided by whichever pump (or external event) ends the
@@ -528,9 +419,12 @@ type proxy struct {
 	baddr   string
 
 	// tokens gates client→shard data frames to the shard's granted window:
-	// after a migration the replay may have left most of the window spent,
-	// and the client's retransmitted tail must not overrun it.
+	// the client's retransmitted tail after a rebuild can be far longer than
+	// that window and must not overrun it.
 	tokens chan struct{}
+	// swallow counts the shard credits still to be withheld from the client
+	// after a rebuild (pumpBackend's alone).
+	swallow uint64
 
 	quit chan struct{}
 	once sync.Once
@@ -586,8 +480,9 @@ func (p *proxy) backendLost(err error) {
 }
 
 // runProxy attaches a client connection and an open backend to the session
-// and pumps frames both ways until either side ends the attachment.
-func (r *Router) runProxy(conn transport.FrameTransport, s *rsession, b *backend) {
+// and pumps frames both ways until either side ends the attachment, the
+// first swallow shard credits withheld from the client.
+func (r *Router) runProxy(conn transport.FrameTransport, s *rsession, b *backend, swallow uint64) {
 	p := &proxy{
 		r:       r,
 		s:       s,
@@ -595,10 +490,11 @@ func (r *Router) runProxy(conn transport.FrameTransport, s *rsession, b *backend
 		backend: b.conn,
 		baddr:   b.addr,
 		tokens:  make(chan struct{}, b.welcome.Tokens),
+		swallow: swallow,
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	for i := 0; i < b.avail; i++ {
+	for i := 0; i < b.welcome.Tokens; i++ {
 		p.tokens <- struct{}{}
 	}
 	s.mu.Lock()
@@ -622,8 +518,8 @@ func (r *Router) runProxy(conn transport.FrameTransport, s *rsession, b *backend
 	p.finish()
 }
 
-// pumpClient forwards client frames to the shard: data frames are journaled
-// (the migration record) and gated by the shard window; End passes through.
+// pumpClient forwards client frames to the shard: data frames are gated by
+// the shard window and counted; End passes through.
 func (p *proxy) pumpClient() {
 	for {
 		h, payload, err := p.client.ReadFrame()
@@ -633,13 +529,15 @@ func (p *proxy) pumpClient() {
 		}
 		switch h.Type {
 		case transport.FramePacket, transport.FrameItems:
-			p.s.journalAppend(h.Type, payload)
 			select {
 			case <-p.tokens:
 			case <-p.quit:
 				p.client.ReleasePayload(payload)
 				return
 			}
+			p.s.mu.Lock()
+			p.s.frames++
+			p.s.mu.Unlock()
 			werr := p.backend.WriteFrame(h.Type, payload)
 			p.client.ReleasePayload(payload)
 			if werr != nil {
@@ -648,9 +546,6 @@ func (p *proxy) pumpClient() {
 			}
 		case transport.FrameEnd:
 			p.client.ReleasePayload(payload)
-			p.s.mu.Lock()
-			p.s.endSent = true
-			p.s.mu.Unlock()
 			if werr := p.backend.WriteFrame(transport.FrameEnd, nil); werr != nil {
 				p.backendLost(werr)
 				return
@@ -674,7 +569,8 @@ func (p *proxy) pumpClient() {
 }
 
 // pumpBackend forwards shard frames to the client: credits refill the token
-// gate (and are swallowed while they acknowledge the router's own replay),
+// gate and reach the client with Ack zeroed (a rebuild starts the shard from
+// nothing, so no shard ack is durable; the client keeps its whole stream),
 // verdicts and Done are recorded and relayed.
 func (p *proxy) pumpBackend() {
 	for {
@@ -702,14 +598,16 @@ func (p *proxy) pumpBackend() {
 				default: // over-credit; the shard window cap is authoritative
 				}
 			}
-			p.s.mu.Lock()
-			swallow := cr.Ack <= p.s.swallowUntil
-			p.s.mu.Unlock()
-			if !swallow {
-				if werr := p.clientWrite(transport.FrameCredit, marshalFrame(&cr)); werr != nil {
-					p.finishWith(outcomeClientLost, werr)
-					return
-				}
+			if p.swallow > 0 {
+				// A retransmitted frame the client sent beyond its window: it
+				// holds no token for this credit and is not reading yet.
+				p.swallow--
+				continue
+			}
+			cr.Ack = 0
+			if werr := p.clientWrite(transport.FrameCredit, marshalFrame(&cr)); werr != nil {
+				p.finishWith(outcomeClientLost, werr)
+				return
 			}
 		case transport.FrameVerdict:
 			var v transport.Verdict
@@ -751,9 +649,9 @@ func (p *proxy) pumpBackend() {
 			if ei.Code == "idle" {
 				// The shard gave up the connection, not the session: it idles
 				// a quiet link out (and says so on its way into a forced
-				// shutdown). The stream is intact in the journal, so this is
-				// a redirect — the client's resume rebuilds elsewhere or, if
-				// the shard was merely bored, right back here.
+				// shutdown). The stream is intact in the client's window, so
+				// this is a redirect — the client's resume rebuilds elsewhere
+				// or, if the shard was merely bored, right back here.
 				p.redirect("shard idled the connection: " + ei.Msg)
 				return
 			}
@@ -802,7 +700,6 @@ func (p *proxy) finish() {
 
 	switch outcome {
 	case outcomeFinal:
-		s.releaseJournal()
 		r.park(s, "completed")
 	case outcomeClientLost:
 		r.park(s, fmt.Sprintf("client connection lost: %v", cause))

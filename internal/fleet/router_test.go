@@ -30,8 +30,9 @@ func stubFleet(t *testing.T, n int, cfg Config) (*Router, string, map[string]*tr
 }
 
 // TestRouterSessionEndToEnd drives one full session through the router at
-// the frame level: Hello → rewritten Welcome, data frames journaled and
-// credited with absolute acks, End → Done with the shard's verdict.
+// the frame level: Hello → rewritten Welcome, data frames forwarded and
+// credited with Ack zeroed (no shard ack survives a rebuild, so the client
+// must keep its whole stream), End → Done with the shard's verdict.
 func TestRouterSessionEndToEnd(t *testing.T) {
 	r, spec, _ := stubFleet(t, 2, Config{})
 	conn, w := openRaw(t, spec, stubHello("", 1))
@@ -44,9 +45,9 @@ func TestRouterSessionEndToEnd(t *testing.T) {
 	if w.Tokens != 4 {
 		t.Fatalf("unquota'd tenant got window %d, want the shard's 4", w.Tokens)
 	}
-	for i := uint64(1); i <= 3; i++ {
-		if ack := sendPacket(t, conn, []byte("frame")); ack != i {
-			t.Fatalf("credit ack %d after %d frames", ack, i)
+	for i := 1; i <= 3; i++ {
+		if ack := sendPacket(t, conn, []byte("frame")); ack != 0 {
+			t.Fatalf("credit for frame %d forwarded with Ack=%d, want 0", i, ack)
 		}
 	}
 	if err := conn.WriteFrame(transport.FrameEnd, nil); err != nil {
@@ -108,10 +109,10 @@ func TestRouterQuotaAndFairShare(t *testing.T) {
 
 // TestRouterMigrationRaw is the migration protocol pinned frame by frame:
 // kill the hosting shard mid-session, the client is redirected, resumes, and
-// the router rebuilds the stream on the other shard — with the credit acks
-// still absolutely aligned (the first credit after migration acknowledges
-// frame 4, because the router replayed frames 1–3 itself and swallowed their
-// credits).
+// the router opens a fresh session on the other shard. It answers Have=0,
+// the client retransmits frames 1–3 and goes on with frame 4, and every
+// credit (the three retransmissions fit the window, so none is swallowed)
+// reaches the client with Ack zeroed.
 func TestRouterMigrationRaw(t *testing.T) {
 	r, spec, servers := stubFleet(t, 2, Config{ResumeWindow: time.Minute})
 
@@ -135,15 +136,17 @@ func TestRouterMigrationRaw(t *testing.T) {
 	conn2 := dialRaw(t, spec)
 	writeCtl(t, conn2, transport.FrameResume, &transport.Resume{
 		Proto: transport.ProtoVersion, Session: w.Session, Token: w.ResumeToken,
-		Sent: 3, Acked: 3,
+		Sent: 3,
 	})
 	var ok transport.ResumeOK
 	readCtl(t, conn2, transport.FrameResumeOK, &ok)
-	if ok.Have != 3 || !ok.Migrated {
-		t.Fatalf("resume landed wrong: %+v, want Have=3 Migrated=true", ok)
+	if ok.Have != 0 || !ok.Migrated {
+		t.Fatalf("resume landed wrong: %+v, want Have=0 Migrated=true", ok)
 	}
-	if ack := sendPacket(t, conn2, []byte("frame")); ack != 4 {
-		t.Fatalf("first post-migration credit acks %d, want 4 (replay credits must be swallowed)", ack)
+	for i := 1; i <= 4; i++ {
+		if ack := sendPacket(t, conn2, []byte("frame")); ack != 0 {
+			t.Fatalf("post-migration credit for frame %d has Ack=%d, want 0", i, ack)
+		}
 	}
 	if err := conn2.WriteFrame(transport.FrameEnd, nil); err != nil {
 		t.Fatal(err)
@@ -182,7 +185,7 @@ func TestRouterDrainRedirect(t *testing.T) {
 	conn2 := dialRaw(t, spec)
 	writeCtl(t, conn2, transport.FrameResume, &transport.Resume{
 		Proto: transport.ProtoVersion, Session: w.Session, Token: w.ResumeToken,
-		Sent: 1, Acked: 1,
+		Sent: 1,
 	})
 	var ok transport.ResumeOK
 	readCtl(t, conn2, transport.FrameResumeOK, &ok)
@@ -233,29 +236,23 @@ func TestRouterFinalVerdictReplay(t *testing.T) {
 	readCtl(t, conn, transport.FrameDone, nil)
 	conn.Close() // pretend the Done frame was lost on the way
 
-	// A completed session holds O(1): the journal is gone and every frame
-	// it copied is back in the pool, though the record stays parked. The
-	// pool counters are process-wide, so buffers an earlier test still held
-	// at gets0 may come back too: every get since then must be matched.
-	r.mu.Lock()
-	s := r.sessions[w.Session]
-	r.mu.Unlock()
-	if s == nil {
+	// A completed session holds no pooled buffer, though the record stays
+	// parked. The pool counters are process-wide, so buffers an earlier
+	// test still held at gets0 may come back too: every get since then must
+	// be matched.
+	if r.Sessions() != 1 {
 		t.Fatal("completed session not parked for final-verdict replay")
 	}
-	waitFor(t, 2*time.Second, "journal released at Done", func() bool {
-		s.mu.Lock()
-		released := s.released && s.journal == nil
-		s.mu.Unlock()
+	waitFor(t, 2*time.Second, "pools to balance after Done", func() bool {
 		gets, puts := event.PoolStats()
-		return released && puts-puts0 >= gets-gets0
+		return puts-puts0 >= gets-gets0
 	})
 
 	for try := 0; try < 2; try++ {
 		c := dialRaw(t, spec)
 		writeCtl(t, c, transport.FrameResume, &transport.Resume{
 			Proto: transport.ProtoVersion, Session: w.Session, Token: w.ResumeToken,
-			Sent: sent, Acked: sent,
+			Sent: sent,
 		})
 		var ok transport.ResumeOK
 		readCtl(t, c, transport.FrameResumeOK, &ok)
@@ -268,12 +265,12 @@ func TestRouterFinalVerdictReplay(t *testing.T) {
 		c.Close()
 	}
 
-	// The frame count survives the journal: a client claiming fewer frames
+	// The frame count survives completion: a client claiming fewer frames
 	// than the router forwarded is still refused.
 	c := dialRaw(t, spec)
 	writeCtl(t, c, transport.FrameResume, &transport.Resume{
 		Proto: transport.ProtoVersion, Session: w.Session, Token: w.ResumeToken,
-		Sent: sent - 1, Acked: sent - 1,
+		Sent: sent - 1,
 	})
 	expectRefusal(t, c, "resume")
 	c.Close()
@@ -281,7 +278,7 @@ func TestRouterFinalVerdictReplay(t *testing.T) {
 
 // TestRouterResumeRefusals covers the resume sanity checks: wrong token,
 // unknown session, and a client claiming fewer sent frames than the router
-// journaled.
+// forwarded.
 func TestRouterResumeRefusals(t *testing.T) {
 	_, spec, _ := stubFleet(t, 1, Config{ResumeWindow: time.Minute})
 	conn, w := openRaw(t, spec, stubHello("", 13))
@@ -309,8 +306,9 @@ func TestRouterResumeRefusals(t *testing.T) {
 }
 
 // TestRouterKicksStaleAttachment: a resume for a session that still has a
-// live (but silently stalled) connection kicks the old attachment and the
-// new connection carries on.
+// live (but silently stalled) connection kicks the old attachment, and the
+// new connection carries on against a fresh shard session — it retransmits
+// its one frame, sends a second, and the shard checks exactly two.
 func TestRouterKicksStaleAttachment(t *testing.T) {
 	_, spec, _ := stubFleet(t, 1, Config{ResumeWindow: time.Minute})
 	conn, w := openRaw(t, spec, stubHello("", 15))
@@ -319,23 +317,29 @@ func TestRouterKicksStaleAttachment(t *testing.T) {
 	conn2 := dialRaw(t, spec)
 	writeCtl(t, conn2, transport.FrameResume, &transport.Resume{
 		Proto: transport.ProtoVersion, Session: w.Session, Token: w.ResumeToken,
-		Sent: 1, Acked: 1,
+		Sent: 1,
 	})
 	var ok transport.ResumeOK
 	readCtl(t, conn2, transport.FrameResumeOK, &ok)
-	if ok.Have != 1 {
-		t.Fatalf("resume over a live attachment: %+v, want Have=1", ok)
+	if ok.Have != 0 || ok.Migrated {
+		t.Fatalf("resume over a live attachment: %+v, want Have=0 on the same shard", ok)
 	}
 	if _, _, err := conn.ReadFrame(); err == nil {
 		t.Fatal("kicked connection still readable")
 	}
-	if ack := sendPacket(t, conn2, []byte("frame")); ack != 2 {
-		t.Fatalf("post-kick credit acks %d, want 2", ack)
+	for i := 1; i <= 2; i++ {
+		if ack := sendPacket(t, conn2, []byte("frame")); ack != 0 {
+			t.Fatalf("post-kick credit for frame %d has Ack=%d, want 0", i, ack)
+		}
 	}
 	if err := conn2.WriteFrame(transport.FrameEnd, nil); err != nil {
 		t.Fatal(err)
 	}
-	readCtl(t, conn2, transport.FrameDone, nil)
+	var fin transport.Verdict
+	readCtl(t, conn2, transport.FrameDone, &fin)
+	if fin.Events != 2 {
+		t.Fatalf("rebuilt session checked %d events, want 2", fin.Events)
+	}
 }
 
 // TestRouterHandshakeRefusals: bad first frames and protocol drift are
@@ -441,8 +445,8 @@ func TestRouterReapReleasesQuota(t *testing.T) {
 // TestReapSparesJustPublishedSession: openSession publishes the record before
 // runProxy attaches to it, and a poll tick (or another connection's reap) can
 // land in between. The record must then count as parked since publication —
-// not since the zero time, which reaped the live session and leaked every
-// frame it journaled afterwards.
+// not since the zero time, which reaped the live session from under its
+// client.
 func TestReapSparesJustPublishedSession(t *testing.T) {
 	r, err := NewRouter(Config{Shards: []string{"unix:///nonexistent/shard.sock"}, ResumeWindow: time.Minute})
 	if err != nil {

@@ -28,8 +28,8 @@ type shard struct {
 	lastPoll time.Time
 
 	// sessions counts live sessions the router has placed here (its own
-	// view, independent of the shard's Active — the shard also serves the
-	// router's journal replays and any direct clients).
+	// view, independent of the shard's Active — the shard also serves any
+	// direct clients).
 	sessions int
 	served   uint64
 	fails    uint64

@@ -74,7 +74,9 @@ type Metrics struct {
 	// transport client like TokenStalls).
 	Reconnects uint64
 	// ReplayedFrames counts data frames retransmitted from the client's
-	// replay window across those resumes.
+	// replay window across those resumes. Through a fleet router that
+	// window is the whole stream so far, so each routed resume adds every
+	// frame the session had sent.
 	ReplayedFrames uint64
 	// Migrations counts the resumes that moved the session to a different
 	// backend shard — a fleet router's live migration (ResumeOK.Migrated).

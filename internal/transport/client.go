@@ -40,6 +40,8 @@ type ClientConfig struct {
 	// unacknowledged data frames and, when the connection breaks, reconnects
 	// with exponential backoff + jitter and continues the session from the
 	// server's acknowledged prefix. Requires a server with a ResumeWindow.
+	// Through a fleet router no ack is durable (a resume rebuilds the
+	// session on a fresh shard), so a routed client keeps its whole stream.
 	Resume bool
 	// MaxRetries is the reconnect budget per disconnect (0 = DefaultMaxRetries).
 	// When it runs out the session fails with ErrSessionLost.

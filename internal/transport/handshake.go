@@ -101,9 +101,10 @@ type ResumeOK struct {
 	Verdict *Verdict `json:"verdict,omitempty"`
 	Final   *Verdict `json:"final,omitempty"`
 	// Migrated marks a resume that landed the session on a different backend
-	// shard than before: the fleet router replayed the acknowledged prefix
-	// into a fresh checker there and this resume supplies the rest. A bare
-	// difftestd shard never sets it; the client counts it as a migration.
+	// shard than before: the fleet router opened a fresh checker there
+	// (Have = 0) and this resume's retransmission supplies the whole stream.
+	// A bare difftestd shard never sets it; the client counts it as a
+	// migration.
 	Migrated bool `json:"migrated,omitempty"`
 }
 
