@@ -113,12 +113,16 @@ fuzz-campaign:
 # pins graceful degradation when the retry budget runs out. The fleet chaos
 # gate routes sessions through the multi-shard router, kills a shard
 # mid-run, and requires migrated sessions to reach byte-identical verdicts
-# (and the full bug library to route with verdict equivalence). The
+# (and the full bug library to route with verdict equivalence). The two
+# shutdown leak gates serve completed, parked and stats-poll connections
+# through difftestd's Server and the fleet router, shut each down, and fail
+# on any goroutine or file descriptor left behind. The
 # dual-core fan-out is the one place two goroutines check through one
 # Checker, each core on its own scratch, so it runs under -race here too.
 integration:
 	$(GO) test -race -count=1 -run='TestLoopback|TestRemoteCancellation|TestFaultMatrix|TestDegraded|TestExecutedDualCoreFanout' -v ./internal/cosim
-	$(GO) test -race -count=1 -run='TestFleetChaosMigration|TestFleetLongTailMigration|TestFleetAllShardsDeadDegrades|TestFleetBugLibraryEquivalence' -v ./internal/fleet
+	$(GO) test -race -count=1 -run='TestServerShutdownLeavesNoLeaks' -v ./internal/transport
+	$(GO) test -race -count=1 -run='TestFleetChaosMigration|TestFleetLongTailMigration|TestFleetAllShardsDeadDegrades|TestFleetBugLibraryEquivalence|TestRouterShutdownLeavesNoLeaks' -v ./internal/fleet
 	$(GO) test -race -count=1 -run='TestFuzzRediscoversBugLibrary|TestFuzzBeatsRandomControl|TestCampaignDeterministicAcrossWorkers|TestExitSequenceSurvivesTimerInterrupt' -v ./internal/fuzz
 
 # Per-package statement coverage with a floor on the packages that carry the

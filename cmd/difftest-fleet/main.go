@@ -19,9 +19,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -67,7 +67,7 @@ func main() {
 		if *addr == "" {
 			logger.Fatal("admin verbs need -addr <router>")
 		}
-		if err := admin(*addr, *stats, *drain, *undrain); err != nil {
+		if err := admin(os.Stdout, *addr, *stats, *drain, *undrain); err != nil {
 			logger.Fatal(err)
 		}
 		return
@@ -167,8 +167,9 @@ func parseQuotas(spec string) (map[string]fleet.Quota, error) {
 	return out, nil
 }
 
-// admin runs one admin verb against a live router.
-func admin(addr string, stats bool, drain, undrain string) error {
+// admin runs one admin verb against a live router and prints the reply to
+// out; a refusal comes back as the router's *transport.ErrorInfo.
+func admin(out io.Writer, addr string, stats bool, drain, undrain string) error {
 	conn, err := transport.DialFrame(addr, 10*time.Second)
 	if err != nil {
 		return err
@@ -178,17 +179,14 @@ func admin(addr string, stats bool, drain, undrain string) error {
 	conn.SetReadTimeout(10 * time.Second)
 
 	if stats {
-		if err := conn.WriteFrame(transport.FrameStats, nil); err != nil {
-			return err
-		}
 		var st transport.StatsInfo
-		if err := readReply(conn, transport.FrameStats, &st); err != nil {
+		if err := call(conn, transport.FrameStats, nil, &st); err != nil {
 			return err
 		}
-		fmt.Printf("fleet: active=%d served=%d mismatches=%d migrations=%d parked=%d resumed=%d\n",
+		fmt.Fprintf(out, "fleet: active=%d served=%d mismatches=%d migrations=%d parked=%d resumed=%d\n",
 			st.Active, st.Served, st.Mismatches, st.Migrations, st.Parked, st.Resumed)
 		for _, sh := range st.Shards {
-			fmt.Printf("shard %-32s %-8s placed=%d active=%d served=%d capacity=%d\n",
+			fmt.Fprintf(out, "shard %-32s %-8s placed=%d active=%d served=%d capacity=%d\n",
 				sh.Addr, sh.State, sh.Sessions, sh.Active, sh.Served, sh.Capacity)
 		}
 		return nil
@@ -198,37 +196,20 @@ func admin(addr string, stats bool, drain, undrain string) error {
 	if undrain != "" {
 		req = transport.DrainRequest{Shard: undrain, Undrain: true}
 	}
-	b, err := json.Marshal(&req)
-	if err != nil {
-		return err
-	}
-	if err := conn.WriteFrame(transport.FrameDrain, b); err != nil {
-		return err
-	}
 	var reply transport.DrainReply
-	if err := readReply(conn, transport.FrameDrain, &reply); err != nil {
+	if err := call(conn, transport.FrameDrain, &req, &reply); err != nil {
 		return err
 	}
-	fmt.Printf("shard %s: %s, %d session(s) redirected\n", reply.Shard, reply.State, reply.Redirected)
+	fmt.Fprintf(out, "shard %s: %s, %d session(s) redirected\n", reply.Shard, reply.State, reply.Redirected)
 	return nil
 }
 
-// readReply reads one frame, expecting want (or a relayed ErrorInfo).
-func readReply(conn transport.FrameTransport, want uint8, v any) error {
-	h, payload, err := conn.ReadFrame()
-	if err != nil {
-		return err
+// call is one admin round trip: the reply comes back under the request's
+// own kind, and a refusal becomes the returned error.
+func call(conn transport.FrameTransport, typ uint8, req, reply any) error {
+	ei, err := transport.Call(conn, typ, req, typ, reply)
+	if ei != nil {
+		return ei
 	}
-	defer conn.ReleasePayload(payload)
-	if h.Type == transport.FrameErrorInfo {
-		var ei transport.ErrorInfo
-		if err := json.Unmarshal(payload, &ei); err != nil {
-			return err
-		}
-		return &ei
-	}
-	if h.Type != want {
-		return fmt.Errorf("unexpected reply frame type %d", h.Type)
-	}
-	return json.Unmarshal(payload, v)
+	return err
 }

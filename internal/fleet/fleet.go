@@ -17,11 +17,15 @@
 // feeds that retransmission to the fresh backend under the shard's window —
 // same machinery, different shard, byte-identical stream, byte-identical
 // verdict.
+//
+// Both faces run on transport's own protocol code, not copies of it: clients
+// arrive through the transport.FrontDoor accept loop difftestd uses, stats
+// polls are answered by transport.ServeStats, and shard sessions and health
+// polls go out through transport.Handshake and transport.Call.
 package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -85,17 +89,16 @@ type Config struct {
 type Router struct {
 	cfg Config
 
-	mu        sync.Mutex
-	shards    map[string]*shard
-	order     []string // declared shard order, for stable listings
-	sessions  map[uint64]*rsession
-	tenants   map[string]int // live (not yet final) sessions per tenant
-	listeners map[transport.FrameListener]struct{}
-	conns     map[transport.FrameTransport]struct{}
-	polling   map[string]bool
-	draining  bool
+	door transport.FrontDoor
 
-	wg       sync.WaitGroup
+	mu       sync.Mutex
+	shards   map[string]*shard
+	order    []string // declared shard order, for stable listings
+	sessions map[uint64]*rsession
+	tenants  map[string]int // live (not yet final) sessions per tenant
+	polling  map[string]bool
+	draining bool
+
 	pollWG   sync.WaitGroup
 	stop     chan struct{}
 	pollOnce sync.Once
@@ -136,8 +139,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		shards:    make(map[string]*shard, len(cfg.Shards)),
 		sessions:  make(map[uint64]*rsession),
 		tenants:   make(map[string]int),
-		listeners: make(map[transport.FrameListener]struct{}),
-		conns:     make(map[transport.FrameTransport]struct{}),
 		polling:   make(map[string]bool),
 		stop:      make(chan struct{}),
 		tokenSalt: uint64(time.Now().UnixNano()),
@@ -202,14 +203,6 @@ func scaleWindow(shardTokens int, share float64) int {
 // Serve accepts client connections on l until the listener closes
 // (Shutdown). The health poller starts with the first Serve call.
 func (r *Router) Serve(l transport.FrameListener) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		l.Close()
-		return errors.New("fleet: router is shut down")
-	}
-	r.listeners[l] = struct{}{}
-	r.mu.Unlock()
 	r.pollOnce.Do(func() {
 		r.pollWG.Add(1)
 		go func() {
@@ -217,39 +210,7 @@ func (r *Router) Serve(l transport.FrameListener) error {
 			r.pollLoop()
 		}()
 	})
-
-	for {
-		conn, err := l.AcceptFrame()
-		if err != nil {
-			r.mu.Lock()
-			draining := r.draining
-			delete(r.listeners, l)
-			r.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return err
-		}
-		r.mu.Lock()
-		if r.draining {
-			r.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer func() {
-				r.mu.Lock()
-				delete(r.conns, conn)
-				r.mu.Unlock()
-				conn.Close()
-			}()
-			r.handleConn(conn)
-		}()
-	}
+	return r.door.Serve(l, r.handleConn)
 }
 
 // handleConn dispatches one inbound connection by its first frame.
@@ -269,7 +230,7 @@ func (r *Router) handleConn(conn transport.FrameTransport) {
 		r.resumeSession(conn, h, payload)
 	case transport.FrameStats:
 		conn.ReleasePayload(payload)
-		r.serveStats(conn)
+		transport.ServeStats(conn, r.StatsInfo, r.cfg.HandshakeTimeout)
 	case transport.FrameDrain:
 		r.serveDrain(conn, h, payload)
 	case transport.FrameWelcome, transport.FramePacket, transport.FrameItems,
@@ -281,15 +242,9 @@ func (r *Router) handleConn(conn transport.FrameTransport) {
 		fallthrough
 	default:
 		conn.ReleasePayload(payload)
-		r.refuse(conn, "handshake",
+		transport.Refuse(conn, r.logf, "handshake",
 			fmt.Sprintf("expected Hello, Resume, Stats, or Drain, got frame type %d", h.Type))
 	}
-}
-
-// refuse sends a FrameError and gives up on the connection.
-func (r *Router) refuse(conn transport.FrameTransport, code, msg string) {
-	r.logf("refused (%s): %s", code, msg)
-	conn.WriteFrame(transport.FrameErrorInfo, marshalFrame(&transport.ErrorInfo{Code: code, Msg: msg}))
 }
 
 // StatsInfo aggregates the fleet's health: router-level counters plus the
@@ -334,38 +289,18 @@ func (r *Router) StatsInfo() transport.StatsInfo {
 	return st
 }
 
-// serveStats answers health polls, shard-style: a reply per inbound poll
-// frame until the peer hangs up or goes idle.
-func (r *Router) serveStats(conn transport.FrameTransport) {
-	for {
-		if err := conn.WriteFrame(transport.FrameStats, marshalFrame(r.StatsInfo())); err != nil {
-			return
-		}
-		conn.SetReadTimeout(r.cfg.HandshakeTimeout)
-		h, payload, err := conn.ReadFrame()
-		if err != nil {
-			return
-		}
-		conn.ReleasePayload(payload)
-		if h.Type != transport.FrameStats {
-			r.refuse(conn, "decode", fmt.Sprintf("expected Stats poll, got frame type %d", h.Type))
-			return
-		}
-	}
-}
-
 // serveDrain handles one admin drain/undrain request.
 func (r *Router) serveDrain(conn transport.FrameTransport, h transport.FrameHeader, payload []byte) {
 	var req transport.DrainRequest
-	err := unmarshalFrame(h.Type, payload, &req)
+	err := transport.DecodeControl(h.Type, payload, &req)
 	conn.ReleasePayload(payload)
 	if err != nil {
-		r.refuse(conn, "decode", err.Error())
+		transport.Refuse(conn, r.logf, "decode", err.Error())
 		return
 	}
 	sp, perr := transport.ParseSpec(req.Shard)
 	if perr != nil {
-		r.refuse(conn, "decode", perr.Error())
+		transport.Refuse(conn, r.logf, "decode", perr.Error())
 		return
 	}
 	addr := sp.String()
@@ -377,10 +312,10 @@ func (r *Router) serveDrain(conn transport.FrameTransport, h transport.FrameHead
 		reply, known = r.DrainShard(addr)
 	}
 	if !known {
-		r.refuse(conn, "decode", fmt.Sprintf("unknown shard %q", addr))
+		transport.Refuse(conn, r.logf, "decode", fmt.Sprintf("unknown shard %q", addr))
 		return
 	}
-	conn.WriteFrame(transport.FrameDrain, marshalFrame(&reply))
+	conn.WriteFrame(transport.FrameDrain, transport.EncodeControl(&reply))
 }
 
 // DrainShard withdraws a shard from placement and redirects its live
@@ -428,11 +363,11 @@ func (r *Router) UndrainShard(addr string) (transport.DrainReply, bool) {
 	return transport.DrainReply{Shard: addr, State: sh.state}, true
 }
 
-// Shutdown stops the router: listeners close, every live connection is torn
-// down, and every session record is dropped. Unlike a
-// shard, a router has no work of its own to let finish — clients that lose
-// it resume against another router or degrade — so Shutdown is immediate;
-// ctx bounds the wait for in-flight handlers.
+// Shutdown stops the router: listeners close, every live connection is
+// interrupted and closed at once, and every session record is dropped.
+// Unlike a shard, a router has no work of its own to let finish — clients
+// that lose it resume against another router or degrade — so Shutdown does
+// not drain; ctx bounds the wait for the handlers to return.
 func (r *Router) Shutdown(ctx context.Context) error {
 	r.mu.Lock()
 	if r.draining {
@@ -441,28 +376,12 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	}
 	r.draining = true
 	close(r.stop)
-	for l := range r.listeners {
-		l.Close()
-	}
-	for c := range r.conns {
-		c.SetDeadlineNow()
-		c.Close()
-	}
 	r.mu.Unlock()
 
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		r.pollWG.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-		<-done
-	}
+	r.door.Close()
+	r.door.Interrupt(true)
+	err := r.door.Wait(ctx)
+	r.pollWG.Wait()
 
 	r.mu.Lock()
 	r.sessions = make(map[uint64]*rsession)
@@ -542,28 +461,4 @@ func (r *Router) sessionDone(s *rsession) {
 	}
 	r.unplaceLocked(s)
 	r.mu.Unlock()
-}
-
-// marshalFrame encodes a JSON control payload (transport keeps its helper
-// private; control frames are rare, the allocation is irrelevant).
-func marshalFrame(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("fleet: encoding control frame: %v", err))
-	}
-	return b
-}
-
-// unmarshalFrame decodes a JSON control payload with frame-type context.
-func unmarshalFrame(typ uint8, buf []byte, v any) error {
-	if err := json.Unmarshal(buf, v); err != nil {
-		return fmt.Errorf("fleet: corrupt control frame (type %d): %w", typ, err)
-	}
-	return nil
-}
-
-// errUnexpectedFrame reports a frame kind that has no business at this
-// point of the protocol.
-func errUnexpectedFrame(where string, typ uint8) error {
-	return fmt.Errorf("fleet: %s: unexpected frame type %d", where, typ)
 }

@@ -86,14 +86,14 @@ type backend struct {
 // rewritten Welcome, then the pump loop.
 func (r *Router) openSession(conn transport.FrameTransport, h transport.FrameHeader, payload []byte) {
 	var hello transport.Hello
-	err := unmarshalFrame(h.Type, payload, &hello)
+	err := transport.DecodeControl(h.Type, payload, &hello)
 	conn.ReleasePayload(payload)
 	if err != nil {
-		r.refuse(conn, "handshake", err.Error())
+		transport.Refuse(conn, r.logf, "handshake", err.Error())
 		return
 	}
 	if hello.Proto != transport.ProtoVersion {
-		r.refuse(conn, "handshake", fmt.Sprintf(
+		transport.Refuse(conn, r.logf, "handshake", fmt.Sprintf(
 			"protocol version %d (router speaks %d)", hello.Proto, transport.ProtoVersion))
 		return
 	}
@@ -107,7 +107,7 @@ func (r *Router) openSession(conn transport.FrameTransport, h transport.FrameHea
 	if q.MaxSessions > 0 && r.tenants[tenant] >= q.MaxSessions {
 		r.mu.Unlock()
 		r.refused.Add(1)
-		r.refuse(conn, "quota", fmt.Sprintf(
+		transport.Refuse(conn, r.logf, "quota", fmt.Sprintf(
 			"tenant %q is at its session quota (%d)", tenant, q.MaxSessions))
 		return
 	}
@@ -131,10 +131,10 @@ func (r *Router) openSession(conn transport.FrameTransport, h transport.FrameHea
 		if ei != nil {
 			// The shard refused this client on its merits (digest drift, bad
 			// DUT name); relay the diagnosis untouched.
-			conn.WriteFrame(transport.FrameErrorInfo, marshalFrame(ei))
+			conn.WriteFrame(transport.FrameErrorInfo, transport.EncodeControl(ei))
 			return
 		}
-		r.refuse(conn, "overloaded", "no shard available")
+		transport.Refuse(conn, r.logf, "overloaded", "no shard available")
 		return
 	}
 
@@ -154,7 +154,7 @@ func (r *Router) openSession(conn transport.FrameTransport, h transport.FrameHea
 		Resumable:   true,
 		ResumeToken: s.token,
 	}
-	if err := conn.WriteFrame(transport.FrameWelcome, marshalFrame(&w)); err != nil {
+	if err := conn.WriteFrame(transport.FrameWelcome, transport.EncodeControl(&w)); err != nil {
 		// The client never saw its session id, so it can never resume: drop.
 		b.conn.Close()
 		r.dropSession(s)
@@ -200,14 +200,14 @@ func (r *Router) publishSession(hello transport.Hello, key, addr string, window 
 // retransmitted window into it.
 func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameHeader, payload []byte) {
 	var req transport.Resume
-	err := unmarshalFrame(h.Type, payload, &req)
+	err := transport.DecodeControl(h.Type, payload, &req)
 	conn.ReleasePayload(payload)
 	if err != nil {
-		r.refuse(conn, "resume", err.Error())
+		transport.Refuse(conn, r.logf, "resume", err.Error())
 		return
 	}
 	if req.Proto != transport.ProtoVersion {
-		r.refuse(conn, "resume", fmt.Sprintf(
+		transport.Refuse(conn, r.logf, "resume", fmt.Sprintf(
 			"protocol version %d (router speaks %d)", req.Proto, transport.ProtoVersion))
 		return
 	}
@@ -219,7 +219,7 @@ func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameH
 	}
 	r.mu.Unlock()
 	if s == nil {
-		r.refuse(conn, "resume", fmt.Sprintf("unknown or expired session %d", req.Session))
+		transport.Refuse(conn, r.logf, "resume", fmt.Sprintf("unknown or expired session %d", req.Session))
 		return
 	}
 
@@ -233,14 +233,14 @@ func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameH
 		select {
 		case <-old.done:
 		case <-time.After(r.cfg.DialTimeout):
-			r.refuse(conn, "resume", "session busy")
+			transport.Refuse(conn, r.logf, "resume", "session busy")
 			return
 		}
 		r.mu.Lock()
 		_, alive := r.sessions[s.id]
 		r.mu.Unlock()
 		if !alive {
-			r.refuse(conn, "resume", "session ended")
+			transport.Refuse(conn, r.logf, "resume", "session ended")
 			return
 		}
 	}
@@ -253,7 +253,7 @@ func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameH
 	resumes := s.resumes
 	s.mu.Unlock()
 	if req.Sent < frames {
-		r.refuse(conn, "resume", fmt.Sprintf(
+		transport.Refuse(conn, r.logf, "resume", fmt.Sprintf(
 			"client sent %d data frames but session %d forwarded %d", req.Sent, s.id, frames))
 		return
 	}
@@ -263,7 +263,7 @@ func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameH
 		// The session already completed; replay the Done payload and park
 		// again so even a lost ResumeOK can be retried until reap.
 		ok := transport.ResumeOK{Have: frames, Tokens: s.window, Final: final}
-		conn.WriteFrame(transport.FrameResumeOK, marshalFrame(&ok))
+		conn.WriteFrame(transport.FrameResumeOK, transport.EncodeControl(&ok))
 		r.park(s, "completed, final verdict replayed")
 		return
 	}
@@ -277,9 +277,9 @@ func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameH
 	if b == nil {
 		r.refused.Add(1)
 		if ei != nil {
-			conn.WriteFrame(transport.FrameErrorInfo, marshalFrame(ei))
+			conn.WriteFrame(transport.FrameErrorInfo, transport.EncodeControl(ei))
 		} else {
-			r.refuse(conn, "resume", "no shard available to rebuild session")
+			transport.Refuse(conn, r.logf, "resume", "no shard available to rebuild session")
 		}
 		r.park(s, "rebuild failed")
 		return
@@ -303,7 +303,7 @@ func (r *Router) resumeSession(conn transport.FrameTransport, h transport.FrameH
 	// reads again and expects credits for only its last window of frames;
 	// the shard credits for the rest are swallowed (see pumpBackend).
 	ok := transport.ResumeOK{Tokens: s.window, Verdict: verdict, Migrated: migrated}
-	if err := conn.WriteFrame(transport.FrameResumeOK, marshalFrame(&ok)); err != nil {
+	if err := conn.WriteFrame(transport.FrameResumeOK, transport.EncodeControl(&ok)); err != nil {
 		b.conn.Close()
 		r.park(s, "resume-ok write failed")
 		return
@@ -351,47 +351,10 @@ func (r *Router) openBackend(hello transport.Hello, addr string) (*backend, *tra
 	}
 	conn.SetWriteTimeout(r.cfg.WriteTimeout)
 	conn.SetReadTimeout(r.cfg.DialTimeout)
-	if err := conn.WriteFrame(transport.FrameHello, marshalFrame(&hello)); err != nil {
+	w, ei, err := transport.Handshake(conn, hello)
+	if ei != nil || err != nil {
 		conn.Close()
-		return nil, nil, err
-	}
-	h, payload, err := conn.ReadFrame()
-	if err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	switch h.Type {
-	case transport.FrameWelcome:
-	case transport.FrameErrorInfo:
-		var ei transport.ErrorInfo
-		jerr := unmarshalFrame(h.Type, payload, &ei)
-		conn.ReleasePayload(payload)
-		conn.Close()
-		if jerr != nil {
-			return nil, nil, jerr
-		}
-		return nil, &ei, nil
-	case transport.FrameHello, transport.FramePacket, transport.FrameItems,
-		transport.FrameEnd, transport.FrameCredit, transport.FrameVerdict,
-		transport.FrameDone, transport.FrameResume, transport.FrameResumeOK,
-		transport.FrameStats, transport.FrameDrain, transport.FrameRedirect:
-		// A Hello is answered with Welcome or ErrorInfo, nothing else.
-		fallthrough
-	default:
-		conn.ReleasePayload(payload)
-		conn.Close()
-		return nil, nil, errUnexpectedFrame("shard handshake", h.Type)
-	}
-	var w transport.Welcome
-	jerr := unmarshalFrame(h.Type, payload, &w)
-	conn.ReleasePayload(payload)
-	if jerr != nil {
-		conn.Close()
-		return nil, nil, jerr
-	}
-	if w.Tokens <= 0 {
-		conn.Close()
-		return nil, nil, fmt.Errorf("fleet: shard %s granted a %d-token window", addr, w.Tokens)
+		return nil, ei, err
 	}
 	return &backend{conn: conn, addr: addr, welcome: w}, nil, nil
 }
@@ -465,7 +428,7 @@ func (p *proxy) clientWrite(typ uint8, payload []byte) error {
 // redirect tells the client to redial (it will resume, and placement will
 // land it on a healthy shard), then ends the attachment.
 func (p *proxy) redirect(reason string) {
-	p.clientWrite(transport.FrameRedirect, marshalFrame(&transport.Redirect{Reason: reason}))
+	p.clientWrite(transport.FrameRedirect, transport.EncodeControl(&transport.Redirect{Reason: reason}))
 	p.finishWith(outcomeRedirected, nil)
 }
 
@@ -474,7 +437,7 @@ func (p *proxy) redirect(reason string) {
 // resume that triggers the migration.
 func (p *proxy) backendLost(err error) {
 	p.r.markDown(p.baddr, err)
-	p.clientWrite(transport.FrameRedirect, marshalFrame(&transport.Redirect{
+	p.clientWrite(transport.FrameRedirect, transport.EncodeControl(&transport.Redirect{
 		Reason: fmt.Sprintf("shard %s lost: %v", p.baddr, err)}))
 	p.finishWith(outcomeBackendLost, err)
 }
@@ -559,8 +522,8 @@ func (p *proxy) pumpClient() {
 			fallthrough
 		default:
 			p.client.ReleasePayload(payload)
-			err := errUnexpectedFrame("client stream", h.Type)
-			p.clientWrite(transport.FrameErrorInfo, marshalFrame(&transport.ErrorInfo{
+			err := fmt.Errorf("fleet: client stream: unexpected frame type %d", h.Type)
+			p.clientWrite(transport.FrameErrorInfo, transport.EncodeControl(&transport.ErrorInfo{
 				Code: "decode", Msg: err.Error()}))
 			p.finishWith(outcomeFatal, err)
 			return
@@ -586,7 +549,7 @@ func (p *proxy) pumpBackend() {
 		switch h.Type {
 		case transport.FrameCredit:
 			var cr transport.Credit
-			derr := unmarshalFrame(h.Type, payload, &cr)
+			derr := transport.DecodeControl(h.Type, payload, &cr)
 			p.backend.ReleasePayload(payload)
 			if derr != nil {
 				p.backendLost(derr)
@@ -605,26 +568,26 @@ func (p *proxy) pumpBackend() {
 				continue
 			}
 			cr.Ack = 0
-			if werr := p.clientWrite(transport.FrameCredit, marshalFrame(&cr)); werr != nil {
+			if werr := p.clientWrite(transport.FrameCredit, transport.EncodeControl(&cr)); werr != nil {
 				p.finishWith(outcomeClientLost, werr)
 				return
 			}
 		case transport.FrameVerdict:
 			var v transport.Verdict
-			derr := unmarshalFrame(h.Type, payload, &v)
+			derr := transport.DecodeControl(h.Type, payload, &v)
 			p.backend.ReleasePayload(payload)
 			if derr != nil {
 				p.backendLost(derr)
 				return
 			}
 			p.s.setVerdict(&v, p.r)
-			if werr := p.clientWrite(transport.FrameVerdict, marshalFrame(&v)); werr != nil {
+			if werr := p.clientWrite(transport.FrameVerdict, transport.EncodeControl(&v)); werr != nil {
 				p.finishWith(outcomeClientLost, werr)
 				return
 			}
 		case transport.FrameDone:
 			var v transport.Verdict
-			derr := unmarshalFrame(h.Type, payload, &v)
+			derr := transport.DecodeControl(h.Type, payload, &v)
 			p.backend.ReleasePayload(payload)
 			if derr != nil {
 				p.backendLost(derr)
@@ -635,12 +598,12 @@ func (p *proxy) pumpBackend() {
 			// (or a stats query) may be on the wire the moment it does, and
 			// must find the tenant's slot free and the session counted.
 			p.r.sessionDone(p.s)
-			p.clientWrite(transport.FrameDone, marshalFrame(&v))
+			p.clientWrite(transport.FrameDone, transport.EncodeControl(&v))
 			p.finishWith(outcomeFinal, nil)
 			return
 		case transport.FrameErrorInfo:
 			var ei transport.ErrorInfo
-			derr := unmarshalFrame(h.Type, payload, &ei)
+			derr := transport.DecodeControl(h.Type, payload, &ei)
 			p.backend.ReleasePayload(payload)
 			if derr != nil {
 				p.backendLost(derr)
@@ -658,7 +621,7 @@ func (p *proxy) pumpBackend() {
 			// Everything else is the client's own protocol error (decode
 			// failures survive the checksum, so they are client bugs): relay
 			// the diagnosis and drop the session.
-			p.clientWrite(transport.FrameErrorInfo, marshalFrame(&ei))
+			p.clientWrite(transport.FrameErrorInfo, transport.EncodeControl(&ei))
 			p.finishWith(outcomeFatal, &ei)
 			return
 		case transport.FrameHello, transport.FrameWelcome, transport.FramePacket,
@@ -670,7 +633,7 @@ func (p *proxy) pumpBackend() {
 			fallthrough
 		default:
 			p.backend.ReleasePayload(payload)
-			p.finishWith(outcomeFatal, errUnexpectedFrame("shard stream", h.Type))
+			p.finishWith(outcomeFatal, fmt.Errorf("fleet: shard stream: unexpected frame type %d", h.Type))
 			return
 		}
 	}

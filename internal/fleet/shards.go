@@ -138,29 +138,19 @@ func (r *Router) pollShard(addr string, draining bool) {
 }
 
 // statsRoundTrip dials a shard, sends one empty FrameStats poll, and decodes
-// the StatsInfo reply.
+// the StatsInfo reply; a refusal is an error like any other.
 func (r *Router) statsRoundTrip(addr string) (transport.StatsInfo, error) {
+	var st transport.StatsInfo
 	conn, err := r.dialShard(addr)
 	if err != nil {
-		return transport.StatsInfo{}, err
+		return st, err
 	}
 	defer conn.Close()
 	conn.SetWriteTimeout(r.cfg.WriteTimeout)
 	conn.SetReadTimeout(r.cfg.DialTimeout)
-	if err := conn.WriteFrame(transport.FrameStats, nil); err != nil {
-		return transport.StatsInfo{}, err
+	ei, err := transport.Call(conn, transport.FrameStats, nil, transport.FrameStats, &st)
+	if ei != nil {
+		return st, ei
 	}
-	h, payload, err := conn.ReadFrame()
-	if err != nil {
-		return transport.StatsInfo{}, err
-	}
-	defer conn.ReleasePayload(payload)
-	if h.Type != transport.FrameStats {
-		return transport.StatsInfo{}, errUnexpectedFrame("stats poll", h.Type)
-	}
-	var st transport.StatsInfo
-	if err := unmarshalFrame(h.Type, payload, &st); err != nil {
-		return transport.StatsInfo{}, err
-	}
-	return st, nil
+	return st, err
 }

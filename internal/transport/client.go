@@ -176,51 +176,15 @@ func Dial(spec string, hello Hello, cfg ClientConfig) (*Client, error) {
 
 	hello.Proto = ProtoVersion
 	hello.WireDigest = event.FormatDigest()
-	if err := conn.WriteFrame(FrameHello, encodeJSON(&hello)); err != nil {
+	// Handshake releases the reply before returning, so readLoop can take
+	// over as the transport's sole reader at once.
+	w, ei, err := Handshake(conn, hello)
+	if ei != nil || err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("transport: handshake send: %w", err)
-	}
-	h, payload, err := conn.ReadFrame()
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("transport: handshake read: %w", err)
-	}
-	// The payload must be fully consumed and released before readLoop takes
-	// over as the transport's sole reader: on single-consumer transports (the
-	// shm ring) a release racing a concurrent ReadFrame corrupts the cursor.
-	switch h.Type {
-	case FrameWelcome:
-	case FrameErrorInfo:
-		var ei ErrorInfo
-		jerr := decodeJSON(h.Type, payload, &ei)
-		conn.ReleasePayload(payload)
-		conn.Close()
-		if jerr != nil {
-			return nil, jerr
+		if ei != nil {
+			return nil, ei
 		}
-		return nil, &ei
-	case FrameHello, FramePacket, FrameItems, FrameEnd, FrameCredit,
-		FrameVerdict, FrameDone, FrameResume, FrameResumeOK, FrameStats,
-		FrameDrain, FrameRedirect:
-		// Declared kinds a server must never answer a Hello with: rejected
-		// like corruption, but named so adding a control frame fails lint
-		// until this site decides what to do with it.
-		fallthrough
-	default:
-		conn.ReleasePayload(payload)
-		conn.Close()
-		return nil, fmt.Errorf("transport: handshake: unexpected frame type %d", h.Type)
-	}
-	var w Welcome
-	werr := decodeJSON(h.Type, payload, &w)
-	conn.ReleasePayload(payload)
-	if werr != nil {
-		conn.Close()
-		return nil, werr
-	}
-	if w.Tokens <= 0 {
-		conn.Close()
-		return nil, fmt.Errorf("transport: server granted a %d-token window", w.Tokens)
+		return nil, fmt.Errorf("transport: handshake: %w", err)
 	}
 
 	c.welcome = w
@@ -313,7 +277,7 @@ func (c *Client) readLoop(gen *connGen) {
 		switch h.Type {
 		case FrameCredit:
 			var cr Credit
-			err := decodeJSON(h.Type, payload, &cr)
+			err := DecodeControl(h.Type, payload, &cr)
 			gen.conn.ReleasePayload(payload)
 			if err != nil {
 				gen.die(err)
@@ -328,7 +292,7 @@ func (c *Client) readLoop(gen *connGen) {
 			}
 		case FrameVerdict:
 			var v Verdict
-			err := decodeJSON(h.Type, payload, &v)
+			err := DecodeControl(h.Type, payload, &v)
 			gen.conn.ReleasePayload(payload)
 			if err != nil {
 				gen.die(err)
@@ -340,7 +304,7 @@ func (c *Client) readLoop(gen *connGen) {
 			c.stopped.Store(true)
 		case FrameDone:
 			var v Verdict
-			err := decodeJSON(h.Type, payload, &v)
+			err := DecodeControl(h.Type, payload, &v)
 			gen.conn.ReleasePayload(payload)
 			if err != nil {
 				gen.die(err)
@@ -357,7 +321,7 @@ func (c *Client) readLoop(gen *connGen) {
 			// frame is fatal for the session (a resumable server parks
 			// silently instead of sending one).
 			var ei ErrorInfo
-			err := decodeJSON(h.Type, payload, &ei)
+			err := DecodeControl(h.Type, payload, &ei)
 			gen.conn.ReleasePayload(payload)
 			if err != nil {
 				c.fatal(err)
@@ -371,7 +335,7 @@ func (c *Client) readLoop(gen *connGen) {
 			// recovery redials and resumes, and the router places the resumed
 			// session on a healthy shard.
 			var rd Redirect
-			err := decodeJSON(h.Type, payload, &rd)
+			err := DecodeControl(h.Type, payload, &rd)
 			gen.conn.ReleasePayload(payload)
 			if err != nil {
 				gen.die(err)
@@ -568,42 +532,14 @@ func (c *Client) redial() (*connGen, error) {
 		Sent:    c.dataSent,
 		Acked:   acked,
 	}
-	if err := conn.WriteFrame(FrameResume, encodeJSON(&r)); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	h, payload, err := conn.ReadFrame()
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	switch h.Type {
-	case FrameResumeOK:
-	case FrameErrorInfo:
-		var ei ErrorInfo
-		jerr := decodeJSON(h.Type, payload, &ei)
-		conn.ReleasePayload(payload)
-		conn.Close()
-		if jerr != nil {
-			return nil, jerr
-		}
-		return nil, fmt.Errorf("transport: resume refused: %v: %w", &ei, ErrSessionLost)
-	case FrameHello, FrameWelcome, FramePacket, FrameItems, FrameEnd,
-		FrameCredit, FrameVerdict, FrameDone, FrameResume, FrameStats,
-		FrameDrain, FrameRedirect:
-		// A Resume is answered with ResumeOK or ErrorInfo, nothing else.
-		fallthrough
-	default:
-		conn.ReleasePayload(payload)
-		conn.Close()
-		return nil, fmt.Errorf("transport: resume: unexpected frame type %d", h.Type)
-	}
 	var ok ResumeOK
-	jerr := decodeJSON(h.Type, payload, &ok)
-	conn.ReleasePayload(payload)
-	if jerr != nil {
+	ei, err := Call(conn, FrameResume, &r, FrameResumeOK, &ok)
+	if ei != nil || err != nil {
 		conn.Close()
-		return nil, jerr
+		if ei != nil {
+			return nil, fmt.Errorf("transport: resume refused: %v: %w", ei, ErrSessionLost)
+		}
+		return nil, err
 	}
 
 	// Everything the server consumed needs no retransmission.

@@ -196,7 +196,7 @@ func TestParkedSessionReapedAfterWindow(t *testing.T) {
 	h := testHello()
 	h.Proto = ProtoVersion
 	h.WireDigest = event.FormatDigest()
-	if err := conn.WriteFrame(FrameHello, encodeJSON(&h)); err != nil {
+	if err := conn.WriteFrame(FrameHello, EncodeControl(&h)); err != nil {
 		t.Fatal(err)
 	}
 	fh, payload, err := conn.ReadFrame()
@@ -204,7 +204,7 @@ func TestParkedSessionReapedAfterWindow(t *testing.T) {
 		t.Fatalf("welcome: type=%d err=%v", fh.Type, err)
 	}
 	var w Welcome
-	if err := decodeJSON(fh.Type, payload, &w); err != nil {
+	if err := DecodeControl(fh.Type, payload, &w); err != nil {
 		t.Fatal(err)
 	}
 	releaseBuf(payload)
@@ -235,7 +235,7 @@ func TestParkedSessionReapedAfterWindow(t *testing.T) {
 	defer nc2.Close()
 	conn2 := NewConn(nc2)
 	r := Resume{Proto: ProtoVersion, Session: w.Session, Token: w.ResumeToken}
-	if err := conn2.WriteFrame(FrameResume, encodeJSON(&r)); err != nil {
+	if err := conn2.WriteFrame(FrameResume, EncodeControl(&r)); err != nil {
 		t.Fatal(err)
 	}
 	fh2, payload2, err := conn2.ReadFrame()
@@ -244,7 +244,7 @@ func TestParkedSessionReapedAfterWindow(t *testing.T) {
 	}
 	defer releaseBuf(payload2)
 	var ei ErrorInfo
-	if fh2.Type != FrameErrorInfo || decodeJSON(fh2.Type, payload2, &ei) != nil || ei.Code != "resume" {
+	if fh2.Type != FrameErrorInfo || DecodeControl(fh2.Type, payload2, &ei) != nil || ei.Code != "resume" {
 		t.Fatalf("expired resume answered frame %d %+v, want a resume refusal", fh2.Type, ei)
 	}
 	if _, _, reaped := srv.Stats(); reaped == 0 {
@@ -393,13 +393,13 @@ func TestDialHandshakeErrors(t *testing.T) {
 		}
 	}()
 
-	replies <- func(c FrameTransport) { c.WriteFrame(FrameCredit, encodeJSON(&Credit{Tokens: 1})) }
+	replies <- func(c FrameTransport) { c.WriteFrame(FrameCredit, EncodeControl(&Credit{Tokens: 1})) }
 	if _, err := Dial(spec, testHello(), ClientConfig{}); err == nil || !strings.Contains(err.Error(), "unexpected frame type") {
 		t.Fatalf("non-welcome reply: err = %v", err)
 	}
 
 	replies <- func(c FrameTransport) {
-		c.WriteFrame(FrameWelcome, encodeJSON(&Welcome{
+		c.WriteFrame(FrameWelcome, EncodeControl(&Welcome{
 			Proto: ProtoVersion, WireDigest: event.FormatDigest(), Session: 1, Tokens: 0,
 		}))
 	}
@@ -433,7 +433,7 @@ func expectRefusal(t *testing.T, spec string, typ uint8, payload []byte) ErrorIn
 	}
 	defer releaseBuf(p)
 	var ei ErrorInfo
-	if fh.Type != FrameErrorInfo || decodeJSON(fh.Type, p, &ei) != nil {
+	if fh.Type != FrameErrorInfo || DecodeControl(fh.Type, p, &ei) != nil {
 		t.Fatalf("expected an ErrorInfo refusal, got frame type %d", fh.Type)
 	}
 	return ei
@@ -448,26 +448,26 @@ func TestServerHandshakeRefusals(t *testing.T) {
 		ResumeWindow: time.Minute,
 	})
 
-	if ei := expectRefusal(t, spec, FrameCredit, encodeJSON(&Credit{Tokens: 1})); ei.Code != "handshake" {
+	if ei := expectRefusal(t, spec, FrameCredit, EncodeControl(&Credit{Tokens: 1})); ei.Code != "handshake" {
 		t.Fatalf("wrong opener frame refused with %+v, want code handshake", ei)
 	}
 
 	h := testHello()
 	h.Proto = 99
 	h.WireDigest = event.FormatDigest()
-	if ei := expectRefusal(t, spec, FrameHello, encodeJSON(&h)); ei.Code != "handshake" || !strings.Contains(ei.Msg, "protocol version") {
+	if ei := expectRefusal(t, spec, FrameHello, EncodeControl(&h)); ei.Code != "handshake" || !strings.Contains(ei.Msg, "protocol version") {
 		t.Fatalf("proto drift refused with %+v", ei)
 	}
 
 	h = testHello()
 	h.Proto = ProtoVersion
 	h.WireDigest = 0xdead
-	if ei := expectRefusal(t, spec, FrameHello, encodeJSON(&h)); ei.Code != "handshake" || !strings.Contains(ei.Msg, "digest") {
+	if ei := expectRefusal(t, spec, FrameHello, EncodeControl(&h)); ei.Code != "handshake" || !strings.Contains(ei.Msg, "digest") {
 		t.Fatalf("digest drift refused with %+v", ei)
 	}
 
 	r := Resume{Proto: 99, Session: 1, Token: 1}
-	if ei := expectRefusal(t, spec, FrameResume, encodeJSON(&r)); ei.Code != "resume" {
+	if ei := expectRefusal(t, spec, FrameResume, EncodeControl(&r)); ei.Code != "resume" {
 		t.Fatalf("resume proto drift refused with %+v", ei)
 	}
 
@@ -512,7 +512,7 @@ func TestIdleReapWithoutResume(t *testing.T) {
 	h := testHello()
 	h.Proto = ProtoVersion
 	h.WireDigest = event.FormatDigest()
-	if err := conn.WriteFrame(FrameHello, encodeJSON(&h)); err != nil {
+	if err := conn.WriteFrame(FrameHello, EncodeControl(&h)); err != nil {
 		t.Fatal(err)
 	}
 	fh, p, err := conn.ReadFrame()
@@ -527,7 +527,7 @@ func TestIdleReapWithoutResume(t *testing.T) {
 	}
 	defer releaseBuf(p)
 	var ei ErrorInfo
-	if fh.Type != FrameErrorInfo || decodeJSON(fh.Type, p, &ei) != nil || ei.Code != "idle" {
+	if fh.Type != FrameErrorInfo || DecodeControl(fh.Type, p, &ei) != nil || ei.Code != "idle" {
 		t.Fatalf("idle session answered frame %d %+v, want an idle reap", fh.Type, ei)
 	}
 	if _, _, reaped := srv.Stats(); reaped == 0 {

@@ -228,9 +228,9 @@ func (e *ErrorInfo) Error() string {
 	return fmt.Sprintf("transport: server error (%s): %s", e.Code, e.Msg)
 }
 
-// encodeJSON marshals a control payload; control frames are tiny and rare,
-// so the allocation is irrelevant.
-func encodeJSON(v any) []byte {
+// EncodeControl marshals a control-frame payload; control frames are tiny
+// and rare, so the allocation is irrelevant.
+func EncodeControl(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
 		// All control payloads are plain structs; a marshal failure is a
@@ -240,8 +240,8 @@ func encodeJSON(v any) []byte {
 	return b
 }
 
-// decodeJSON unmarshals a control payload with frame-type context.
-func decodeJSON(typ uint8, buf []byte, v any) error {
+// DecodeControl unmarshals a control-frame payload with frame-type context.
+func DecodeControl(typ uint8, buf []byte, v any) error {
 	if err := json.Unmarshal(buf, v); err != nil {
 		return fmt.Errorf("transport: corrupt control frame (type %d): %w", typ, err)
 	}

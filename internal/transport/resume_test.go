@@ -243,7 +243,7 @@ func TestResumeRefusedForUnknownSession(t *testing.T) {
 	defer nc.Close()
 	conn := NewConn(nc)
 	r := Resume{Proto: ProtoVersion, Session: 999, Token: 12345, Sent: 10}
-	if err := conn.WriteFrame(FrameResume, encodeJSON(&r)); err != nil {
+	if err := conn.WriteFrame(FrameResume, EncodeControl(&r)); err != nil {
 		t.Fatal(err)
 	}
 	fh, payload, err := conn.ReadFrame()
@@ -252,7 +252,7 @@ func TestResumeRefusedForUnknownSession(t *testing.T) {
 	}
 	defer releaseBuf(payload)
 	var ei ErrorInfo
-	if fh.Type != FrameErrorInfo || decodeJSON(fh.Type, payload, &ei) != nil || ei.Code != "resume" {
+	if fh.Type != FrameErrorInfo || DecodeControl(fh.Type, payload, &ei) != nil || ei.Code != "resume" {
 		t.Fatalf("unknown-session resume answered frame %d %+v, want a resume refusal", fh.Type, ei)
 	}
 }

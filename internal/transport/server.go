@@ -117,13 +117,12 @@ type session struct {
 type Server struct {
 	cfg ServerConfig
 
-	mu        sync.Mutex
-	listeners map[FrameListener]struct{}
-	conns     map[FrameTransport]struct{}
-	parked    map[uint64]*session
-	draining  bool
+	door FrontDoor
 
-	wg         sync.WaitGroup
+	mu       sync.Mutex
+	parked   map[uint64]*session
+	draining bool
+
 	nextID     atomic.Uint64
 	tokenSalt  uint64
 	active     atomic.Int64
@@ -153,8 +152,6 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	return &Server{
 		cfg:       cfg,
-		listeners: make(map[FrameListener]struct{}),
-		conns:     make(map[FrameTransport]struct{}),
 		parked:    make(map[uint64]*session),
 		tokenSalt: uint64(time.Now().UnixNano()),
 	}
@@ -189,86 +186,21 @@ func (s *Server) ResumeStats() (parked, resumed uint64) {
 // NewNetListener; transport.Listen returns ready-to-serve listeners for
 // every registered scheme.
 func (s *Server) Serve(l FrameListener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		l.Close()
-		return errors.New("transport: server is shut down")
-	}
-	s.listeners[l] = struct{}{}
-	s.mu.Unlock()
-
-	for {
-		conn, err := l.AcceptFrame()
-		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			delete(s.listeners, l)
-			s.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serveSession(conn)
-		}()
-	}
+	return s.door.Serve(l, s.serveSession)
 }
 
 // Shutdown gracefully drains the server: listeners close immediately (no new
 // sessions), active sessions run to their natural end, and when ctx expires
-// the remaining connections are forced closed. Parked sessions are discarded
+// the remaining connections are interrupted. Parked sessions are discarded
 // — their checkers hold no pooled buffers, so dropping them is clean.
 // Returns ctx.Err() when the drain was forced.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.door.Close()
 	s.mu.Lock()
 	s.draining = true
-	for l := range s.listeners {
-		l.Close()
-	}
 	s.parked = make(map[uint64]*session)
 	s.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			c.SetDeadlineNow()
-		}
-		s.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
-}
-
-// refuse sends a FrameError and gives up on the session.
-func (s *Server) refuse(conn FrameTransport, code, msg string) {
-	s.logf("session refused (%s): %s", code, msg)
-	conn.WriteFrame(FrameErrorInfo, encodeJSON(&ErrorInfo{Code: code, Msg: msg}))
+	return s.door.Wait(ctx)
 }
 
 // park shelves a session whose connection broke so a Resume can pick it up;
@@ -316,7 +248,7 @@ func (s *Server) serveSession(conn FrameTransport) {
 		s.resumeSession(conn, h, payload)
 	case FrameStats:
 		conn.ReleasePayload(payload)
-		s.serveStats(conn)
+		ServeStats(conn, s.StatsInfo, s.cfg.IdleTimeout)
 	case FrameWelcome, FramePacket, FrameItems, FrameEnd, FrameCredit,
 		FrameVerdict, FrameDone, FrameErrorInfo, FrameResumeOK,
 		FrameDrain, FrameRedirect:
@@ -326,7 +258,7 @@ func (s *Server) serveSession(conn FrameTransport) {
 		fallthrough
 	default:
 		conn.ReleasePayload(payload)
-		s.refuse(conn, "handshake", fmt.Sprintf("expected Hello, Resume, or Stats, got frame type %d", h.Type))
+		Refuse(conn, s.logf, "handshake", fmt.Sprintf("expected Hello, Resume, or Stats, got frame type %d", h.Type))
 	}
 }
 
@@ -346,54 +278,32 @@ func (s *Server) StatsInfo() StatsInfo {
 	}
 }
 
-// serveStats answers health polls on a dedicated connection: every inbound
-// FrameStats gets a fresh StatsInfo reply, so a router can hold the
-// connection open and poll on its own cadence. Any other frame (or EOF, or
-// the idle deadline) ends the poll loop.
-func (s *Server) serveStats(conn FrameTransport) {
-	for {
-		if err := conn.WriteFrame(FrameStats, encodeJSON(s.StatsInfo())); err != nil {
-			return
-		}
-		conn.SetReadTimeout(s.cfg.IdleTimeout)
-		h, payload, err := conn.ReadFrame()
-		if err != nil {
-			return
-		}
-		conn.ReleasePayload(payload)
-		if h.Type != FrameStats {
-			s.refuse(conn, "decode", fmt.Sprintf("expected Stats poll, got frame type %d", h.Type))
-			return
-		}
-	}
-}
-
 // openSession handles a FrameHello: validate, build the checker, welcome.
 func (s *Server) openSession(conn FrameTransport, h FrameHeader, payload []byte) {
 	var hello Hello
-	err := decodeJSON(h.Type, payload, &hello)
+	err := DecodeControl(h.Type, payload, &hello)
 	conn.ReleasePayload(payload)
 	if err != nil {
-		s.refuse(conn, "handshake", err.Error())
+		Refuse(conn, s.logf, "handshake", err.Error())
 		return
 	}
 	if hello.Proto != ProtoVersion {
-		s.refuse(conn, "handshake", fmt.Sprintf("protocol version %d (server speaks %d)", hello.Proto, ProtoVersion))
+		Refuse(conn, s.logf, "handshake", fmt.Sprintf("protocol version %d (server speaks %d)", hello.Proto, ProtoVersion))
 		return
 	}
 	if d := event.FormatDigest(); hello.WireDigest != d {
-		s.refuse(conn, "handshake", fmt.Sprintf(
+		Refuse(conn, s.logf, "handshake", fmt.Sprintf(
 			"wire-format digest %#x != server %#x — client and server built from different codec revisions, rerun go generate ./...",
 			hello.WireDigest, d))
 		return
 	}
 	if s.cfg.MaxSessions > 0 && int(s.active.Load()) >= s.cfg.MaxSessions {
-		s.refuse(conn, "overloaded", fmt.Sprintf("at capacity (%d sessions)", s.cfg.MaxSessions))
+		Refuse(conn, s.logf, "overloaded", fmt.Sprintf("at capacity (%d sessions)", s.cfg.MaxSessions))
 		return
 	}
 	chk, err := s.cfg.NewSession(hello)
 	if err != nil {
-		s.refuse(conn, "handshake", err.Error())
+		Refuse(conn, s.logf, "handshake", err.Error())
 		return
 	}
 
@@ -426,7 +336,7 @@ func (s *Server) openSession(conn FrameTransport, h FrameHeader, payload []byte)
 		w.Resumable = true
 		w.ResumeToken = sn.token
 	}
-	if err := conn.WriteFrame(FrameWelcome, encodeJSON(&w)); err != nil {
+	if err := conn.WriteFrame(FrameWelcome, EncodeControl(&w)); err != nil {
 		s.logf("session %d: welcome write: %v", id, err)
 		return
 	}
@@ -439,14 +349,14 @@ func (s *Server) openSession(conn FrameTransport, h FrameHeader, payload []byte)
 // what the broken connection lost, continue the stream.
 func (s *Server) resumeSession(conn FrameTransport, h FrameHeader, payload []byte) {
 	var r Resume
-	err := decodeJSON(h.Type, payload, &r)
+	err := DecodeControl(h.Type, payload, &r)
 	conn.ReleasePayload(payload)
 	if err != nil {
-		s.refuse(conn, "resume", err.Error())
+		Refuse(conn, s.logf, "resume", err.Error())
 		return
 	}
 	if r.Proto != ProtoVersion {
-		s.refuse(conn, "resume", fmt.Sprintf("protocol version %d (server speaks %d)", r.Proto, ProtoVersion))
+		Refuse(conn, s.logf, "resume", fmt.Sprintf("protocol version %d (server speaks %d)", r.Proto, ProtoVersion))
 		return
 	}
 	now := time.Now()
@@ -460,13 +370,13 @@ func (s *Server) resumeSession(conn FrameTransport, h FrameHeader, payload []byt
 	}
 	s.mu.Unlock()
 	if sn == nil {
-		s.refuse(conn, "resume", fmt.Sprintf("unknown or expired session %d", r.Session))
+		Refuse(conn, s.logf, "resume", fmt.Sprintf("unknown or expired session %d", r.Session))
 		return
 	}
 	if r.Sent < sn.dataRecvd {
 		// The client claims it sent fewer data frames than this session
 		// consumed — the resume targets a different stream.
-		s.refuse(conn, "resume", fmt.Sprintf(
+		Refuse(conn, s.logf, "resume", fmt.Sprintf(
 			"client sent %d data frames but session %d consumed %d", r.Sent, r.Session, sn.dataRecvd))
 		return
 	}
@@ -482,7 +392,7 @@ func (s *Server) resumeSession(conn FrameTransport, h FrameHeader, payload []byt
 		// Replay the early mismatch verdict the broken link may have lost.
 		ok.Verdict = &Verdict{Mismatch: NewMismatchReport(sn.verdict), Events: sn.verdictEvents}
 	}
-	if err := conn.WriteFrame(FrameResumeOK, encodeJSON(&ok)); err != nil {
+	if err := conn.WriteFrame(FrameResumeOK, EncodeControl(&ok)); err != nil {
 		s.logf("session %d: resume-ok write: %v", sn.id, err)
 		s.park(sn, "resume-ok write failed")
 		return
@@ -516,7 +426,7 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 				}
 				s.reaped.Add(1)
 				s.logf("session %d: idle for %v, reaping", id, s.cfg.IdleTimeout)
-				conn.WriteFrame(FrameErrorInfo, encodeJSON(&ErrorInfo{
+				conn.WriteFrame(FrameErrorInfo, EncodeControl(&ErrorInfo{
 					Code: "idle", Msg: fmt.Sprintf("no frame for %v", s.cfg.IdleTimeout)}))
 				return
 			}
@@ -538,13 +448,13 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 				// client itself, not line noise — a fatal protocol error, not
 				// a resumable fault.
 				s.logf("session %d: decode: %v", id, err)
-				conn.WriteFrame(FrameErrorInfo, encodeJSON(&ErrorInfo{Code: "decode", Msg: err.Error()}))
+				conn.WriteFrame(FrameErrorInfo, EncodeControl(&ErrorInfo{Code: "decode", Msg: err.Error()}))
 				return
 			}
 			sn.dataRecvd++
 			// The frame is consumed: return its token before the verdict so
 			// a stopped client never deadlocks holding zero tokens.
-			if err := conn.WriteFrame(FrameCredit, encodeJSON(&Credit{Tokens: 1, Ack: sn.dataRecvd})); err != nil {
+			if err := conn.WriteFrame(FrameCredit, EncodeControl(&Credit{Tokens: 1, Ack: sn.dataRecvd})); err != nil {
 				s.logf("session %d: credit write: %v", id, err)
 				if s.resumable() {
 					s.park(sn, "credit write failed")
@@ -556,7 +466,7 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 				sn.verdictEvents = sn.sess.Events()
 				s.mismatches.Add(1)
 				s.logf("session %d: mismatch: %v", id, m)
-				if err := conn.WriteFrame(FrameVerdict, encodeJSON(&Verdict{
+				if err := conn.WriteFrame(FrameVerdict, EncodeControl(&Verdict{
 					Mismatch: NewMismatchReport(m), Events: sn.verdictEvents,
 				})); err != nil {
 					s.logf("session %d: verdict write: %v", id, err)
@@ -573,7 +483,7 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 				fin, err := sn.sess.Finish()
 				if err != nil {
 					s.logf("session %d: finish: %v", id, err)
-					conn.WriteFrame(FrameErrorInfo, encodeJSON(&ErrorInfo{Code: "internal", Msg: err.Error()}))
+					conn.WriteFrame(FrameErrorInfo, EncodeControl(&ErrorInfo{Code: "internal", Msg: err.Error()}))
 					return
 				}
 				if fin.Mismatch != nil {
@@ -598,7 +508,7 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 				// already find the session.
 				s.park(sn, "completed")
 			}
-			err := conn.WriteFrame(FrameDone, encodeJSON(&v))
+			err := conn.WriteFrame(FrameDone, EncodeControl(&v))
 			if err != nil {
 				s.logf("session %d: done write: %v", id, err)
 			}
@@ -615,7 +525,7 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 		default:
 			conn.ReleasePayload(payload)
 			s.logf("session %d: unexpected frame type %d", id, h.Type)
-			conn.WriteFrame(FrameErrorInfo, encodeJSON(&ErrorInfo{
+			conn.WriteFrame(FrameErrorInfo, EncodeControl(&ErrorInfo{
 				Code: "decode", Msg: fmt.Sprintf("unexpected frame type %d", h.Type)}))
 			return
 		}

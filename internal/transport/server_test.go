@@ -180,7 +180,7 @@ func TestServerRejectsProtocolMismatch(t *testing.T) {
 	h := testHello()
 	h.Proto = ProtoVersion + 1
 	h.WireDigest = event.FormatDigest()
-	if err := conn.WriteFrame(FrameHello, encodeJSON(&h)); err != nil {
+	if err := conn.WriteFrame(FrameHello, EncodeControl(&h)); err != nil {
 		t.Fatal(err)
 	}
 	fh, payload, err := conn.ReadFrame()
@@ -192,7 +192,7 @@ func TestServerRejectsProtocolMismatch(t *testing.T) {
 		t.Fatalf("server answered frame type %d, want FrameError", fh.Type)
 	}
 	var ei ErrorInfo
-	if err := decodeJSON(fh.Type, payload, &ei); err != nil {
+	if err := DecodeControl(fh.Type, payload, &ei); err != nil {
 		t.Fatal(err)
 	}
 	if ei.Code != "handshake" || !strings.Contains(ei.Msg, "protocol version") {
@@ -214,7 +214,7 @@ func TestServerRejectsWireDigestDrift(t *testing.T) {
 	h := testHello()
 	h.Proto = ProtoVersion
 	h.WireDigest = event.FormatDigest() ^ 1 // one bit of codec drift
-	if err := conn.WriteFrame(FrameHello, encodeJSON(&h)); err != nil {
+	if err := conn.WriteFrame(FrameHello, EncodeControl(&h)); err != nil {
 		t.Fatal(err)
 	}
 	fh, payload, err := conn.ReadFrame()
@@ -223,7 +223,7 @@ func TestServerRejectsWireDigestDrift(t *testing.T) {
 	}
 	defer releaseBuf(payload)
 	var ei ErrorInfo
-	if fh.Type != FrameErrorInfo || decodeJSON(fh.Type, payload, &ei) != nil {
+	if fh.Type != FrameErrorInfo || DecodeControl(fh.Type, payload, &ei) != nil {
 		t.Fatalf("expected a FrameError rejection, got type %d", fh.Type)
 	}
 	if !strings.Contains(ei.Msg, "digest") {

@@ -3,10 +3,18 @@ package shmring
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
 	"net"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -281,6 +289,144 @@ func TestConformanceCleanEOF(t *testing.T) {
 			b.ft.ReleasePayload(payload)
 			if _, _, err := b.ft.ReadFrame(); err != io.EOF {
 				t.Fatalf("read after clean close = %v, want bare io.EOF", err)
+			}
+		})
+	}
+}
+
+// releaseCounter wraps a transport and tracks payloads read but not yet
+// released, so a test can tell exactly when a caller gave a payload back.
+type releaseCounter struct {
+	transport.FrameTransport
+	held atomic.Int64
+}
+
+func (c *releaseCounter) ReadFrame() (transport.FrameHeader, []byte, error) {
+	h, p, err := c.FrameTransport.ReadFrame()
+	if p != nil {
+		c.held.Add(1)
+	}
+	return h, p, err
+}
+
+func (c *releaseCounter) ReleasePayload(p []byte) {
+	if p != nil {
+		c.held.Add(-1)
+	}
+	c.FrameTransport.ReleasePayload(p)
+}
+
+// declaredFrameKinds reads every Frame* uint8 constant the transport package
+// declares, so a frame kind added later is covered without editing the test.
+func declaredFrameKinds(t *testing.T) map[string]uint8 {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "..", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := make(map[string]uint8)
+	for _, f := range pkgs["transport"].Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "uint8" {
+					continue
+				}
+				for i, name := range vs.Names {
+					if !strings.HasPrefix(name.Name, "Frame") {
+						continue
+					}
+					lit := vs.Values[i].(*ast.BasicLit)
+					v, err := strconv.ParseUint(lit.Value, 0, 8)
+					if err != nil {
+						t.Fatalf("%s = %s: %v", name.Name, lit.Value, err)
+					}
+					kinds[name.Name] = uint8(v)
+				}
+			}
+		}
+	}
+	if len(kinds) < 14 {
+		t.Fatalf("found %d frame kinds, want at least the 14 of protocol v2", len(kinds))
+	}
+	return kinds
+}
+
+// TestConformanceCall pins transport.Call's reply contract on every
+// transport, for every declared frame kind sent as the reply: the wanted kind
+// decodes into the reply, ErrorInfo comes back as the peer's refusal, and
+// any other kind is an error naming it. On every path the payload is
+// released before Call returns — on the shm ring a late release would race
+// the next exchange on the same connection, which every call here is.
+func TestConformanceCall(t *testing.T) {
+	kinds := declaredFrameKinds(t)
+	calls := []struct{ req, want uint8 }{
+		{transport.FrameHello, transport.FrameWelcome},
+		{transport.FrameResume, transport.FrameResumeOK},
+		{transport.FrameStats, transport.FrameStats},
+		{transport.FrameDrain, transport.FrameDrain},
+	}
+	for _, h := range harnesses(t) {
+		t.Run(h.name, func(t *testing.T) {
+			gets0, puts0 := event.PoolStats()
+			a, b := h.open(t)
+			cl := &releaseCounter{FrameTransport: a.ft}
+			cl.SetReadTimeout(5 * time.Second)
+
+			// The peer answers each request with the next queued reply kind;
+			// one JSON object decodes as a Welcome, a Credit-like reply and
+			// an ErrorInfo alike.
+			replies := make(chan uint8)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for typ := range replies {
+					_, p, err := b.ft.ReadFrame()
+					if err != nil {
+						return
+					}
+					b.ft.ReleasePayload(p)
+					if b.ft.WriteFrame(typ, []byte(`{"tokens":3,"code":"test","msg":"refused"}`)) != nil {
+						return
+					}
+				}
+			}()
+
+			for _, c := range calls {
+				for name, kind := range kinds {
+					replies <- kind
+					var reply transport.Welcome
+					ei, err := transport.Call(cl, c.req, nil, c.want, &reply)
+					if n := cl.held.Load(); n != 0 {
+						t.Fatalf("want %d, reply %s: %d payload(s) still held after Call returned", c.want, name, n)
+					}
+					if kind == c.want {
+						if ei != nil || err != nil || reply.Tokens != 3 {
+							t.Fatalf("want %d, reply %s: got %+v, %v, %v; want the decoded reply", c.want, name, reply, ei, err)
+						}
+					} else if kind == transport.FrameErrorInfo {
+						if err != nil || ei == nil || ei.Code != "test" || ei.Msg != "refused" {
+							t.Fatalf("want %d, reply %s: got %v, %v; want the peer's ErrorInfo", c.want, name, ei, err)
+						}
+					} else if ei != nil || err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unexpected frame type %d ", kind)) {
+						t.Fatalf("want %d, reply %s: got %v, %v; want an error naming frame type %d", c.want, name, ei, err, kind)
+					}
+				}
+			}
+			close(replies)
+			a.ft.Close()
+			wg.Wait()
+			b.ft.Close()
+			gets1, puts1 := event.PoolStats()
+			if gets1-gets0 != puts1-puts0 {
+				t.Fatalf("pool imbalance: %d gets vs %d puts", gets1-gets0, puts1-puts0)
 			}
 		})
 	}

@@ -42,7 +42,7 @@ func TestServerStatsPoll(t *testing.T) {
 			t.Fatalf("stats reply: type=%d err=%v", fh.Type, err)
 		}
 		var si StatsInfo
-		if err := decodeJSON(fh.Type, payload, &si); err != nil {
+		if err := DecodeControl(fh.Type, payload, &si); err != nil {
 			t.Fatal(err)
 		}
 		releaseBuf(payload)
@@ -77,7 +77,7 @@ func TestServerStatsPoll(t *testing.T) {
 		t.Fatalf("after bad poll frame: type=%d err=%v", fh.Type, err)
 	}
 	var ei ErrorInfo
-	if err := decodeJSON(fh.Type, payload, &ei); err != nil {
+	if err := DecodeControl(fh.Type, payload, &ei); err != nil {
 		t.Fatal(err)
 	}
 	releaseBuf(payload)
