@@ -54,6 +54,7 @@ bench-codec:
 	$(GO) test -run='^$$' -bench='BenchmarkCodecRoundTrip|BenchmarkBatchPack|BenchmarkBatchUnpack' \
 		-benchmem -benchtime=1000x ./internal/event ./internal/batch
 	$(GO) test -run='TestAllocBudget' -v ./internal/event ./internal/batch
+	$(GO) test -run='TestAllocBudget' -v ./internal/dut ./internal/replay ./internal/squash ./internal/cosim
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=10s -run='^$$' ./internal/event

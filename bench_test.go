@@ -12,6 +12,7 @@ package difftest
 // b.Log); the commands under cmd/ print the same reports standalone.
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/batch"
@@ -221,7 +222,12 @@ func monitorCycleItems(n int) [][]wire.Item {
 	for len(out) < n {
 		recs, done := d.StepCycle()
 		if len(recs) > 0 {
-			out = append(out, wire.FromRecords(recs))
+			// The items alias this cycle's monitor arena: keep copies.
+			items := wire.FromRecords(recs)
+			for i := range items {
+				items[i].Payload = bytes.Clone(items[i].Payload)
+			}
+			out = append(out, items)
 		}
 		if done {
 			break

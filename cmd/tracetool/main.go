@@ -122,9 +122,9 @@ func main() {
 		for {
 			recs, done := d.StepCycle()
 			for _, rec := range recs {
-				k := rec.Ev.Kind()
+				k := rec.Kind
 				nde := int64(0)
-				if event.IsNDE(rec.Ev) {
+				if event.IsNDEEncoding(k, rec.Data) {
 					nde = 1
 				}
 				exitOn(db.Insert("tx",

@@ -102,7 +102,7 @@ func Trace(r *trace.Reader) (*Result, error) {
 		perTok := map[uint8][]uint64{}
 		for _, rec := range recs {
 			res.Events++
-			k := rec.Ev.Kind()
+			k := rec.Kind
 			sz := uint64(event.SizeOf(k)) + 4 // per-event transfer header
 			res.RawBytes += sz
 			res.RawByKind[k] += sz

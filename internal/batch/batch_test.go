@@ -14,33 +14,33 @@ import (
 func randomCycle(r *rand.Rand, core uint8) []event.Record {
 	var recs []event.Record
 	if r.Intn(10) == 0 {
-		recs = append(recs, event.Record{Core: core, Ev: &event.Interrupt{Cause: 7, PC: r.Uint64()}})
-		recs = append(recs, event.Record{Core: core, Ev: &event.ArchIntRegState{}})
+		recs = append(recs, event.RecordOf(0, core, &event.Interrupt{Cause: 7, PC: r.Uint64()}))
+		recs = append(recs, event.RecordOf(0, core, &event.ArchIntRegState{}))
 		return recs
 	}
 	n := 1 + r.Intn(4)
 	for i := 0; i < n; i++ {
-		recs = append(recs, event.Record{Core: core, Ev: &event.InstrCommit{PC: r.Uint64(), Instr: uint32(r.Uint32())}})
+		recs = append(recs, event.RecordOf(0, core, &event.InstrCommit{PC: r.Uint64(), Instr: uint32(r.Uint32())}))
 		if r.Intn(3) == 0 {
-			recs = append(recs, event.Record{Core: core, Ev: &event.Load{PAddr: r.Uint64(), Data: r.Uint64()}})
+			recs = append(recs, event.RecordOf(0, core, &event.Load{PAddr: r.Uint64(), Data: r.Uint64()}))
 		}
 		if r.Intn(4) == 0 {
-			recs = append(recs, event.Record{Core: core, Ev: &event.Store{Addr: r.Uint64(), Data: r.Uint64()}})
+			recs = append(recs, event.RecordOf(0, core, &event.Store{Addr: r.Uint64(), Data: r.Uint64()}))
 		}
 		if r.Intn(8) == 0 {
 			rf := &event.Refill{Addr: r.Uint64()}
 			for j := range rf.Data {
 				rf.Data[j] = r.Uint64()
 			}
-			recs = append(recs, event.Record{Core: core, Ev: rf})
+			recs = append(recs, event.RecordOf(0, core, rf))
 		}
 	}
-	recs = append(recs, event.Record{Core: core, Ev: &event.ArchIntRegState{GPR: [32]uint64{1: r.Uint64()}}})
-	recs = append(recs, event.Record{Core: core, Ev: &event.CSRState{Mstatus: r.Uint64()}})
+	recs = append(recs, event.RecordOf(0, core, &event.ArchIntRegState{GPR: [32]uint64{1: r.Uint64()}}))
+	recs = append(recs, event.RecordOf(0, core, &event.CSRState{Mstatus: r.Uint64()}))
 	if r.Intn(6) == 0 {
 		big := &event.ArchVecRegState{}
 		big.VReg[3][1] = r.Uint64()
-		recs = append(recs, event.Record{Core: core, Ev: big})
+		recs = append(recs, event.RecordOf(0, core, big))
 	}
 	return recs
 }
@@ -51,14 +51,18 @@ func eventsEqual(t *testing.T, want []event.Record, got []wire.Item) {
 		t.Fatalf("item count: got %d, want %d", len(got), len(want))
 	}
 	for i := range want {
-		ev, err := wire.DecodeRaw(got[i])
+		rec, err := wire.ToRecord(got[i])
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+		ev, err := rec.Event()
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
 		if got[i].Core != want[i].Core {
 			t.Fatalf("item %d core: got %d, want %d (kind %v)", i, got[i].Core, want[i].Core, ev.Kind())
 		}
-		if !reflect.DeepEqual(ev, want[i].Ev) {
+		if wantEv, _ := want[i].Event(); !reflect.DeepEqual(ev, wantEv) {
 			t.Fatalf("item %d (%v) payload mismatch", i, ev.Kind())
 		}
 	}
@@ -90,8 +94,15 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			if r.Intn(3) == 0 { // dual-core cycles
 				cycle = append(cycle, randomCycle(r, 1)...)
 			}
-			want = append(want, cycle...)
+			for _, rec := range cycle {
+				want = append(want, rec.Clone())
+			}
 			feed(p.AddCycle(wire.FromRecords(cycle)))
+			// The items alias the cycle's encodings, which a monitor
+			// reuses next cycle: the open packet must have copied them.
+			for _, rec := range cycle {
+				clear(rec.Data)
+			}
 		}
 		feed(p.Flush())
 		got = append(got, u.Flush()...)
@@ -129,8 +140,8 @@ func TestSegmentSplitAcrossPackets(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		big := &event.ArchVecRegState{}
 		big.VReg[0][0] = uint64(i)
-		cycle = append(cycle, event.Record{Core: 0, Ev: &event.InstrCommit{PC: uint64(i)}})
-		cycle = append(cycle, event.Record{Core: 0, Ev: big})
+		cycle = append(cycle, event.RecordOf(0, 0, &event.InstrCommit{PC: uint64(i)}))
+		cycle = append(cycle, event.RecordOf(0, 0, big))
 	}
 	var got []wire.Item
 	for _, pkt := range append(p.AddCycle(wire.FromRecords(cycle)), p.Flush()...) {

@@ -21,23 +21,23 @@ func benchCycles(n int) [][]wire.Item {
 		var recs []event.Record
 		commits := 1 + r.Intn(4)
 		for c := 0; c < commits; c++ {
-			recs = append(recs, event.Record{Ev: &event.InstrCommit{
+			recs = append(recs, event.RecordOf(0, 0, &event.InstrCommit{
 				PC: 0x80000000 + uint64(i*16+c*4), Instr: 0x13, Flags: event.CommitRfWen,
 				Wdest: uint8(r.Intn(32)), Wdata: r.Uint64(),
-			}})
+			}))
 			if r.Intn(3) == 0 {
-				recs = append(recs, event.Record{Ev: &event.Load{
+				recs = append(recs, event.RecordOf(0, 0, &event.Load{
 					PAddr: r.Uint64(), Data: r.Uint64(), OpType: 3,
-				}})
+				}))
 			}
 			if r.Intn(4) == 0 {
-				recs = append(recs, event.Record{Ev: &event.Store{
+				recs = append(recs, event.RecordOf(0, 0, &event.Store{
 					Addr: r.Uint64(), Data: r.Uint64(), Mask: 0xFF,
-				}})
+				}))
 			}
 		}
 		if r.Intn(8) == 0 {
-			recs = append(recs, event.Record{Ev: &event.L1TLB{VPN: r.Uint64(), PPN: r.Uint64()}})
+			recs = append(recs, event.RecordOf(0, 0, &event.L1TLB{VPN: r.Uint64(), PPN: r.Uint64()}))
 		}
 		cycles[i] = wire.FromRecords(recs)
 	}

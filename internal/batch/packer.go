@@ -60,22 +60,33 @@ type segment struct {
 	bytes            int
 }
 
+// openSeg is a segment of the open packet: its metadata, with its items'
+// slot and payload bytes copied into Packer.openData.
+type openSeg struct {
+	typ, core, cycle uint8
+	count, bytes     int
+}
+
 // Packer assembles wire items into fixed-size packets.
 //
 // All intermediate state is reused across cycles: grouping scratch, the
-// open-packet item arena, and (via the event buffer pool) the packet buffers
-// themselves. Steady-state packing allocates only when a packet closes.
+// open packet's segment table and byte arena, and (via the event buffer
+// pool) the packet buffers themselves. Steady-state packing allocates only
+// when a packet closes.
 type Packer struct {
 	PacketBytes int
 
 	cycleTag uint8
-	open     []segment
+	open     []openSeg
 	openUsed int
 
-	// openItems is the stable arena backing p.open's item runs. Segments in
-	// p.open must not alias caller-owned or per-cycle scratch storage because
-	// an open packet outlives the AddCycle call that fed it.
-	openItems []wire.Item
+	// openData holds the open packet's item bytes — slot, then payload, in
+	// segment order — copied in by AddCycle: an open packet outlives the
+	// call that fed it, and the items' payloads are only valid during it
+	// (a DUT cycle's encodings live in the monitor's per-cycle arena).
+	openData   []byte
+	openEvents int
+	openInstrs int
 
 	// gsegs/gitems are groupByType scratch, valid only within one AddCycle.
 	gsegs  []segment
@@ -189,14 +200,14 @@ func (p *Packer) appendSegment(seg segment) []Packet {
 			bytes += it.WireSize()
 			take++
 		}
-		// Copy the taken run into the open-packet arena: seg.items is
-		// per-cycle scratch that the next AddCycle will overwrite, while the
-		// open packet can stay open across cycles.
-		start := len(p.openItems)
-		p.openItems = append(p.openItems, seg.items[:take]...)
-		part := segment{typ: seg.typ, core: seg.core, cycle: seg.cycle,
-			items: p.openItems[start:len(p.openItems)], bytes: bytes}
-		p.open = append(p.open, part)
+		// Copy the taken run's bytes into the open packet: the items'
+		// payloads need not outlive this AddCycle, the open packet may.
+		for _, it := range seg.items[:take] {
+			p.openData = append(append(p.openData, it.Slot), it.Payload...)
+			p.openInstrs += it.InstrCount()
+		}
+		p.openEvents += take
+		p.open = append(p.open, openSeg{typ: seg.typ, core: seg.core, cycle: seg.cycle, count: take, bytes: bytes})
 		p.openUsed += bytes
 		seg.items = seg.items[take:]
 		seg.bytes -= bytes
@@ -220,28 +231,22 @@ func (p *Packer) closePacket() Packet {
 	payloadOff := packetHeader + metaSize*len(p.open)
 	binary.LittleEndian.PutUint16(buf[2:], uint16(payloadOff))
 
-	pkt := Packet{Buf: buf}
-	pos := payloadOff
+	pkt := Packet{Buf: buf, Events: p.openEvents, Instrs: p.openInstrs}
 	for i, seg := range p.open {
 		m := buf[packetHeader+i*metaSize:]
 		m[0], m[1], m[2], m[3] = seg.typ, seg.core, seg.cycle, 0
-		binary.LittleEndian.PutUint16(m[4:], uint16(len(seg.items)))
+		binary.LittleEndian.PutUint16(m[4:], uint16(seg.count))
 		binary.LittleEndian.PutUint16(m[6:], uint16(seg.bytes))
-		for _, it := range seg.items {
-			buf[pos] = it.Slot
-			pos++
-			pos += copy(buf[pos:], it.Payload)
-			pkt.Events++
-			pkt.Instrs += it.InstrCount()
-		}
-		p.ItemCount += uint64(len(seg.items))
+		p.ItemCount += uint64(seg.count)
 	}
+	pos := payloadOff + copy(buf[payloadOff:], p.openData)
 	clear(buf[pos:])
 	pkt.Used = pos
 	p.ContentBytes += uint64(pos)
 	p.Packets++
 	p.open = p.open[:0]
-	p.openItems = p.openItems[:0]
+	p.openData = p.openData[:0]
+	p.openEvents, p.openInstrs = 0, 0
 	p.openUsed = packetHeader
 	return pkt
 }

@@ -58,10 +58,12 @@ type CoreChecker struct {
 	BytesChecked  uint64
 
 	// Per-call scratch, touched only by this core's checking goroutine:
-	// one decoded value per kind (ProcessItem) and the two encodings a
-	// state compare lines up (checkState).
-	scratch        [event.NumKinds]event.Event
-	refBuf, dutBuf []byte
+	// one decoded value per kind (process), the REF's encoding a state
+	// compare lines up against the DUT's (checkState), and the derived
+	// events a fused step folds into its digest (StepDigest).
+	scratch [event.NumKinds]event.Event
+	refBuf  []byte
+	derived event.Arena
 }
 
 // Checker verifies a multi-core DUT, one reference model per hart.
@@ -93,33 +95,33 @@ func (c *Checker) Process(rec event.Record) *Mismatch {
 }
 
 // ProcessItem checks one raw wire item — an event of kind k whose wire
-// encoding is payload — on its core's checker, without a heap event: the
-// payload size is checked, the payload is decoded into the core's scratch
-// value for k, and state snapshots are compared against the REF in wire
-// space. A malformed payload returns the *event.DecodeError event.Decode
-// would.
+// encoding is payload — on its core's checker: the payload size is checked,
+// the payload is decoded into the core's scratch value for k, and state
+// snapshots are compared against the REF in wire space. A malformed payload
+// returns the *event.DecodeError event.Decode would.
 //
 // The checker keeps nothing from the call: neither payload nor the decoded
 // value is referenced after it returns, so the caller may reuse both.
 func (c *Checker) ProcessItem(core uint8, k event.Kind, payload []byte) (*Mismatch, error) {
-	switch {
-	case k >= event.NumKinds:
-		return nil, &event.DecodeError{Kind: k, Len: len(payload), Err: event.ErrUnknownKind}
-	case len(payload) != event.SizeOf(k):
-		return nil, &event.DecodeError{Kind: k, Len: len(payload), Err: event.ErrPayloadSize}
-	case int(core) >= len(c.Cores):
-		return &Mismatch{Core: core, Detail: "record for unknown core"}, nil
-	}
-	cc := c.Cores[core]
-	ev := cc.scratch[k]
-	if ev == nil {
-		ev = event.InfoOf(k).New()
-		cc.scratch[k] = ev
-	}
-	if _, err := ev.DecodeFrom(payload); err != nil {
+	if err := checkSize(k, payload); err != nil {
 		return nil, err
 	}
-	return cc.process(event.Record{Core: core, Ev: ev}, payload), nil
+	if int(core) >= len(c.Cores) {
+		return &Mismatch{Core: core, Detail: "record for unknown core"}, nil
+	}
+	return c.Cores[core].process(event.Record{Core: core, Kind: k, Data: payload}), nil
+}
+
+// checkSize is event.Decode's validation: a known kind, and a payload of
+// exactly its wire size.
+func checkSize(k event.Kind, payload []byte) error {
+	switch {
+	case k >= event.NumKinds:
+		return &event.DecodeError{Kind: k, Len: len(payload), Err: event.ErrUnknownKind}
+	case len(payload) != event.SizeOf(k):
+		return &event.DecodeError{Kind: k, Len: len(payload), Err: event.ErrPayloadSize}
+	}
+	return nil
 }
 
 // Finished reports whether a Trap event was observed and its code.
@@ -140,26 +142,39 @@ func (cc *CoreChecker) fail(rec event.Record, format string, args ...any) *Misma
 		seq = cc.Ref.InstrRet()
 	}
 	return &Mismatch{
-		Core: cc.Core, Seq: seq, Kind: rec.Ev.Kind(), PC: cc.lastExec.PC,
+		Core: cc.Core, Seq: seq, Kind: rec.Kind, PC: cc.lastExec.PC,
 		Detail: fmt.Sprintf(format, args...),
 	}
 }
 
-// Process checks one verification event in program order. For InstrCommit
-// events it advances the reference model; for state and memory events it
-// compares against the model's current state.
+// Process checks one verification event in program order, through the
+// same path as ProcessItem. For InstrCommit events it advances the reference
+// model; for state and memory events it compares against the model's
+// current state. A malformed encoding is reported as a mismatch.
 func (cc *CoreChecker) Process(rec event.Record) *Mismatch {
-	return cc.process(rec, nil)
+	if err := checkSize(rec.Kind, rec.Data); err != nil {
+		return &Mismatch{Core: cc.Core, Seq: rec.Seq, Kind: rec.Kind, Detail: err.Error()}
+	}
+	return cc.process(rec)
 }
 
-// process is Process with the event's wire encoding when the caller has it
-// (ProcessItem), nil otherwise; only state snapshots use it.
-func (cc *CoreChecker) process(rec event.Record, enc []byte) *Mismatch {
+// process checks a record whose encoding has the kind's wire size: it is
+// decoded into the core's scratch value for the kind, and state snapshots
+// are compared in wire space.
+func (cc *CoreChecker) process(rec event.Record) *Mismatch {
+	ev := cc.scratch[rec.Kind]
+	if ev == nil {
+		ev = event.InfoOf(rec.Kind).New()
+		cc.scratch[rec.Kind] = ev
+	}
+	if _, err := ev.DecodeFrom(rec.Data); err != nil {
+		panic(err) // the size was checked; an encoding of k always decodes as k
+	}
 	cc.EventsChecked++
-	cc.BytesChecked += uint64(event.SizeOf(rec.Ev.Kind()))
-	cc.observe(rec.Ev)
+	cc.BytesChecked += uint64(len(rec.Data))
+	cc.observe(ev)
 
-	switch ev := rec.Ev.(type) {
+	switch ev := ev.(type) {
 	case *event.InstrCommit:
 		return cc.processCommit(rec, ev)
 
@@ -337,27 +352,22 @@ func (cc *CoreChecker) process(rec event.Record, enc []byte) *Mismatch {
 		return nil
 
 	default:
-		return cc.checkState(rec, enc)
+		return cc.checkState(rec)
 	}
 }
 
 // checkState compares a state snapshot in wire space: the REF's snapshot of
 // the same kind is encoded into refBuf and compared byte for byte with the
-// DUT's encoding — got, or rec.Ev encoded into dutBuf when got is nil.
-// Padding is part of the compare; the codec always encodes it as zeros.
-func (cc *CoreChecker) checkState(rec event.Record, got []byte) *Mismatch {
-	k := rec.Ev.Kind()
-	want, ok := snapshot.AppendState(k, cc.Ref.M, cc.refBuf[:0])
+// DUT's encoding. Padding is part of the compare; the codec always encodes
+// it as zeros.
+func (cc *CoreChecker) checkState(rec event.Record) *Mismatch {
+	want, ok := snapshot.AppendState(rec.Kind, cc.Ref.M, cc.refBuf[:0])
 	if !ok {
 		return cc.fail(rec, "unhandled event kind")
 	}
 	cc.refBuf = want
-	if got == nil {
-		got = rec.Ev.AppendTo(cc.dutBuf[:0])
-		cc.dutBuf = got
-	}
-	if !bytes.Equal(got, want) {
-		return cc.fail(rec, "state snapshot diverged: %s", describeDiff(k, got, want))
+	if !bytes.Equal(rec.Data, want) {
+		return cc.fail(rec, "state snapshot diverged: %s", describeDiff(rec.Kind, rec.Data, want))
 	}
 	return nil
 }

@@ -35,9 +35,9 @@ func harness(t *testing.T) *checker.Checker {
 }
 
 func commitRec(seq uint64, pc uint64, wdest uint8, wdata uint64) event.Record {
-	return event.Record{Seq: seq, Core: 0, Ev: &event.InstrCommit{
+	return event.RecordOf(seq, 0, &event.InstrCommit{
 		PC: pc, Instr: instrAt(pc), Flags: event.CommitRfWen, Wdest: wdest, Wdata: wdata,
-	}}
+	})
 }
 
 // instrAt recomputes the encodings used by harness (keeps records honest).
@@ -78,15 +78,15 @@ func TestStoreEventChecked(t *testing.T) {
 	chk.Process(commitRec(1, mem.RAMBase, 1, 5))
 	// Store commit (no register write).
 	st := &event.InstrCommit{PC: mem.RAMBase + 4, Instr: instrAt(mem.RAMBase + 4)}
-	if m := chk.Process(event.Record{Seq: 2, Core: 0, Ev: st}); m != nil {
+	if m := chk.Process(event.RecordOf(2, 0, st)); m != nil {
 		t.Fatalf("store commit flagged: %v", m)
 	}
 	good := &event.Store{Addr: mem.RAMBase + 0x1000, VAddr: mem.RAMBase + 0x1000, Data: 5, Mask: 8}
-	if m := chk.Process(event.Record{Seq: 2, Core: 0, Ev: good}); m != nil {
+	if m := chk.Process(event.RecordOf(2, 0, good)); m != nil {
 		t.Fatalf("good store flagged: %v", m)
 	}
 	bad := &event.Store{Addr: mem.RAMBase + 0x1000, Data: 7, Mask: 8}
-	if m := chk.Process(event.Record{Seq: 2, Core: 0, Ev: bad}); m == nil {
+	if m := chk.Process(event.RecordOf(2, 0, bad)); m == nil {
 		t.Fatal("bad store data not flagged")
 	}
 }
@@ -94,11 +94,10 @@ func TestStoreEventChecked(t *testing.T) {
 func TestLoadEventChecked(t *testing.T) {
 	chk := harness(t)
 	chk.Process(commitRec(1, mem.RAMBase, 1, 5))
-	chk.Process(event.Record{Seq: 2, Core: 0,
-		Ev: &event.InstrCommit{PC: mem.RAMBase + 4, Instr: instrAt(mem.RAMBase + 4)}})
+	chk.Process(event.RecordOf(2, 0, &event.InstrCommit{PC: mem.RAMBase + 4, Instr: instrAt(mem.RAMBase + 4)}))
 	chk.Process(commitRec(3, mem.RAMBase+8, 3, 5))
 	bad := &event.Load{PAddr: mem.RAMBase + 0x1000, Data: 99, Mask: ^uint64(0)}
-	if m := chk.Process(event.Record{Seq: 3, Core: 0, Ev: bad}); m == nil {
+	if m := chk.Process(event.RecordOf(3, 0, bad)); m == nil {
 		t.Fatal("bad load data not flagged")
 	}
 }
@@ -108,7 +107,7 @@ func TestSkipCommitSynchronizes(t *testing.T) {
 	skip := &event.InstrCommit{
 		PC: mem.RAMBase, Flags: event.CommitSkip | event.CommitRfWen, Wdest: 9, Wdata: 0xFEED,
 	}
-	if m := chk.Process(event.Record{Seq: 1, Core: 0, Ev: skip}); m != nil {
+	if m := chk.Process(event.RecordOf(1, 0, skip)); m != nil {
 		t.Fatalf("skip flagged: %v", m)
 	}
 	cc := chk.Cores[0]
@@ -122,8 +121,7 @@ func TestSkipCommitSynchronizes(t *testing.T) {
 
 func TestInterruptWrongPC(t *testing.T) {
 	chk := harness(t)
-	m := chk.Process(event.Record{Seq: 0, Core: 0,
-		Ev: &event.Interrupt{Cause: isa.IntTimerM, PC: 0xBAD}})
+	m := chk.Process(event.RecordOf(0, 0, &event.Interrupt{Cause: isa.IntTimerM, PC: 0xBAD}))
 	if m == nil || !strings.Contains(m.Detail, "interrupt") {
 		t.Fatalf("interrupt at wrong pc not flagged: %v", m)
 	}
@@ -134,15 +132,19 @@ func TestSnapshotCompare(t *testing.T) {
 	chk.Process(commitRec(1, mem.RAMBase, 1, 5))
 	cc := chk.Cores[0]
 
-	good := snapshot.IntRegState(cc.Ref.M)
-	if m := chk.Process(event.Record{Seq: 1, Core: 0, Ev: &good}); m != nil {
+	good := snapshot.AppendIntRegState(nil, cc.Ref.M)
+	if m := chk.Process(event.Record{Seq: 1, Kind: event.KindArchIntRegState, Data: good}); m != nil {
 		t.Fatalf("matching snapshot flagged: %v", m)
 	}
-	bad := snapshot.IntRegState(cc.Ref.M)
-	bad.GPR[4] ^= 1
-	m := chk.Process(event.Record{Seq: 1, Core: 0, Ev: &bad})
+	bad := append([]byte(nil), good...)
+	bad[4*8] ^= 1 // x4
+	m := chk.Process(event.Record{Seq: 1, Kind: event.KindArchIntRegState, Data: bad})
 	if m == nil || m.Kind != event.KindArchIntRegState {
 		t.Fatalf("diverged snapshot not flagged: %v", m)
+	}
+	m = chk.Process(event.Record{Seq: 1, Kind: event.KindArchIntRegState, Data: good[:8]})
+	if m == nil || m.Seq != 1 || !strings.Contains(m.Detail, "payload 8B (want 256B)") {
+		t.Fatalf("malformed record: %v", m)
 	}
 }
 
@@ -155,11 +157,11 @@ func TestRefillChecksMemory(t *testing.T) {
 	for i := range rf.Data {
 		rf.Data[i] = cc.Ref.M.Mem.Read(line+uint64(i)*8, 8)
 	}
-	if m := chk.Process(event.Record{Core: 0, Ev: &rf}); m != nil {
+	if m := chk.Process(event.RecordOf(0, 0, &rf)); m != nil {
 		t.Fatalf("matching refill flagged: %v", m)
 	}
 	rf.Data[3] ^= 0x40
-	if m := chk.Process(event.Record{Core: 0, Ev: &rf}); m == nil {
+	if m := chk.Process(event.RecordOf(0, 0, &rf)); m == nil {
 		t.Fatal("corrupt refill not flagged")
 	}
 }
@@ -167,18 +169,18 @@ func TestRefillChecksMemory(t *testing.T) {
 func TestTLBIdentityCheck(t *testing.T) {
 	chk := harness(t)
 	ok := &event.L1TLB{VPN: 0x80001, PPN: 0x80001, Perm: 0xF, Level: 2}
-	if m := chk.Process(event.Record{Core: 0, Ev: ok}); m != nil {
+	if m := chk.Process(event.RecordOf(0, 0, ok)); m != nil {
 		t.Fatalf("identity TLB fill flagged: %v", m)
 	}
 	bad := &event.L1TLB{VPN: 0x80001, PPN: 0x90001}
-	if m := chk.Process(event.Record{Core: 0, Ev: bad}); m == nil {
+	if m := chk.Process(event.RecordOf(0, 0, bad)); m == nil {
 		t.Fatal("wrong PPN not flagged")
 	}
 }
 
 func TestTrapRecorded(t *testing.T) {
 	chk := harness(t)
-	chk.Process(event.Record{Core: 0, Ev: &event.Trap{Code: 0, PC: mem.RAMBase}})
+	chk.Process(event.RecordOf(0, 0, &event.Trap{Code: 0, PC: mem.RAMBase}))
 	fin, code := chk.Finished()
 	if !fin || code != 0 {
 		t.Errorf("trap not recorded: %v %d", fin, code)
@@ -187,7 +189,7 @@ func TestTrapRecorded(t *testing.T) {
 
 func TestUnknownCoreRejected(t *testing.T) {
 	chk := harness(t)
-	if m := chk.Process(event.Record{Core: 5, Ev: &event.Trap{}}); m == nil {
+	if m := chk.Process(event.RecordOf(0, 5, &event.Trap{})); m == nil {
 		t.Error("record for unknown core accepted")
 	}
 }
@@ -229,7 +231,7 @@ func TestProcessItemStateCompareIsWireSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := chk.Process(event.Record{Core: 0, Ev: ev}); want == nil || *want != *m {
+	if want := chk.Process(event.RecordOf(0, 0, ev)); want == nil || *want != *m {
 		t.Fatalf("ProcessItem %+v, Process %+v", m, want)
 	}
 

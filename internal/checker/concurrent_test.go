@@ -46,7 +46,8 @@ func runPerCoreConcurrent(t *testing.T, cfg dut.Config, prof workload.Profile, h
 	for cycle := uint64(0); cycle < 3_000_000; cycle++ {
 		recs, done := d.StepCycle()
 		for _, rec := range recs {
-			chans[rec.Core] <- rec
+			// The checking goroutines outlive this cycle's arena.
+			chans[rec.Core] <- rec.Clone()
 		}
 		if done || col.First() != nil {
 			break

@@ -16,7 +16,7 @@ func TestCoverageKindCounts(t *testing.T) {
 	chk := harness(t)
 	chk.Process(commitRec(1, mem.RAMBase, 1, 5))
 	st := &event.InstrCommit{PC: mem.RAMBase + 4, Instr: instrAt(mem.RAMBase + 4)}
-	chk.Process(event.Record{Seq: 2, Ev: st})
+	chk.Process(event.RecordOf(2, 0, st))
 
 	cov := chk.Coverage()
 	if got := cov.Kind[event.KindInstrCommit]; got != 2 {
@@ -38,11 +38,11 @@ func TestCoverageKindCounts(t *testing.T) {
 func TestCoverageTrapMMIOAdjacency(t *testing.T) {
 	chk := harness(t)
 	irq := &event.Interrupt{PC: mem.RAMBase, Cause: isa.IntTimerM}
-	if m := chk.Process(event.Record{Seq: 1, Ev: irq}); m != nil {
+	if m := chk.Process(event.RecordOf(1, 0, irq)); m != nil {
 		t.Fatalf("interrupt sync flagged: %v", m)
 	}
 	skip := &event.InstrCommit{PC: mem.RAMBase, Flags: event.CommitSkip}
-	if m := chk.Process(event.Record{Seq: 2, Ev: skip}); m != nil {
+	if m := chk.Process(event.RecordOf(2, 0, skip)); m != nil {
 		t.Fatalf("skipped commit flagged: %v", m)
 	}
 
@@ -68,15 +68,15 @@ func TestCoverageTrapMMIOAdjacency(t *testing.T) {
 func TestCoverageAdjacencyWindowExpires(t *testing.T) {
 	chk := harness(t)
 	irq := &event.Interrupt{PC: mem.RAMBase, Cause: isa.IntTimerM}
-	if m := chk.Process(event.Record{Seq: 1, Ev: irq}); m != nil {
+	if m := chk.Process(event.RecordOf(1, 0, irq)); m != nil {
 		t.Fatalf("interrupt sync flagged: %v", m)
 	}
 	// Drain the window with informational events that carry no state.
 	for i := 0; i < 10; i++ {
-		chk.Process(event.Record{Seq: uint64(2 + i), Ev: &event.CMO{}})
+		chk.Process(event.RecordOf(uint64(2+i), 0, &event.CMO{}))
 	}
 	skip := &event.InstrCommit{PC: mem.RAMBase, Flags: event.CommitSkip}
-	chk.Process(event.Record{Seq: 20, Ev: skip})
+	chk.Process(event.RecordOf(20, 0, skip))
 
 	if cov := chk.Coverage(); cov.TrapMMIOAdj != 0 {
 		t.Errorf("TrapMMIOAdj = %d after window expired, want 0", cov.TrapMMIOAdj)
@@ -92,7 +92,7 @@ func TestCoverageExceptionProximity(t *testing.T) {
 	chk := checker.New(img, []uint64{mem.RAMBase}, 1)
 
 	ev := &event.InstrCommit{PC: mem.RAMBase, Instr: enc}
-	if m := chk.Process(event.Record{Seq: 1, Ev: ev}); m != nil {
+	if m := chk.Process(event.RecordOf(1, 0, ev)); m != nil {
 		t.Fatalf("ecall commit flagged: %v", m)
 	}
 	cov := chk.Coverage()

@@ -24,10 +24,10 @@ func (cc *CoreChecker) StepDigest(enabled *[event.NumKinds]bool, dig *derive.Dig
 	cc.EventsChecked++
 	vstart := cc.Ref.M.State.CSRVal(isa.CSRVstart)
 	cc.lastExec = cc.Ref.Step()
-	for _, ev := range derive.Events(cc.Ref.M, &cc.lastExec, vstart) {
-		if enabled[ev.Kind()] {
-			dig.Add(ev)
-		}
+	cc.derived.Reset()
+	derive.AppendEvents(&cc.derived, 0, cc.Core, enabled, cc.Ref.M, &cc.lastExec, vstart)
+	for _, r := range cc.derived.Recs {
+		dig.Add(r.Kind, r.Data)
 	}
 	return cc.lastExec
 }

@@ -311,6 +311,12 @@ type runner struct {
 
 	half  *CheckerSession      // nil on remote runs
 	rctls []*replay.Controller // Replay, one per core of half's checker
+
+	// hardwareSide scratch, reused every cycle: the items it returns, and
+	// one core's records and replay tokens under Squash.
+	items    []wire.Item
+	coreRecs []event.Record
+	toks     []uint64
 }
 
 func (r *runner) setup() {
@@ -435,31 +441,34 @@ func (r *runner) loop() error {
 }
 
 // hardwareSide applies the acceleration unit: Squash fusion or plain item
-// conversion, with replay buffering of the original unfused events.
+// conversion, with replay buffering of the original unfused events. The
+// items alias the cycle's records and the fusers' output buffers, so they
+// are valid until the next cycle; pack copies them into packets (or, per
+// event, into owned transfers) before then.
 func (r *runner) hardwareSide(recs []event.Record) []wire.Item {
+	r.items = r.items[:0]
 	if len(recs) == 0 {
 		return nil
 	}
 	if !r.opt.Squash {
-		return wire.FromRecords(recs)
+		r.items = wire.AppendItems(r.items, recs)
+		return r.items
 	}
 	startTok := r.rbuf.Add(recs)
 	// Split per core, preserving order and token alignment.
-	var items []wire.Item
 	for core := 0; core < r.p.DUT.Cores; core++ {
-		var coreRecs []event.Record
-		var toks []uint64
+		r.coreRecs, r.toks = r.coreRecs[:0], r.toks[:0]
 		for i, rec := range recs {
 			if int(rec.Core) == core {
-				coreRecs = append(coreRecs, rec)
-				toks = append(toks, startTok+uint64(i))
+				r.coreRecs = append(r.coreRecs, rec)
+				r.toks = append(r.toks, startTok+uint64(i))
 			}
 		}
-		if len(coreRecs) > 0 {
-			items = append(items, r.fusers[core].Cycle(coreRecs, toks)...)
+		if len(r.coreRecs) > 0 {
+			r.items = append(r.items, r.fusers[core].Cycle(r.coreRecs, r.toks)...)
 		}
 	}
-	return items
+	return r.items
 }
 
 // onMismatch records the verdict and, when the REF is on this side of the

@@ -126,8 +126,19 @@ func (p *hwProducer) pack(items []wire.Item, flush bool) error {
 	var pkts []batch.Packet
 	switch {
 	case !r.opt.Batch:
+		// The payloads alias this cycle's monitor or fuser buffers, which
+		// the transfers outlive: copy the cycle's items and payloads once.
+		size := 0
 		for _, it := range items {
-			p.pending = append(p.pending, xfer{items: []wire.Item{it}})
+			size += len(it.Payload)
+		}
+		owned, arena := make([]wire.Item, len(items)), make([]byte, 0, size)
+		for i, it := range items {
+			start := len(arena)
+			arena = append(arena, it.Payload...)
+			it.Payload = arena[start:len(arena):len(arena)]
+			owned[i] = it
+			p.pending = append(p.pending, xfer{items: owned[i : i+1 : i+1]})
 		}
 	case r.opt.FixedOffset:
 		var err error

@@ -63,9 +63,9 @@ func TestTransportStopReleasesRemainingPackets(t *testing.T) {
 	bogus := func(n, base int) []event.Record {
 		var recs []event.Record
 		for i := 0; i < n; i++ {
-			recs = append(recs, event.Record{Seq: uint64(base + i), Core: 0, Ev: &event.InstrCommit{
+			recs = append(recs, event.RecordOf(uint64(base+i), 0, &event.InstrCommit{
 				PC: 0xdead0000 + uint64(base+i)*4, Instr: 0x13, Wdest: 5, Wdata: uint64(i),
-			}})
+			}))
 		}
 		return recs
 	}

@@ -1,6 +1,11 @@
 package derive
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -8,6 +13,8 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden fixtures")
 
 func machineWith(prog []isa.Inst) *arch.Machine {
 	ram := mem.New()
@@ -19,10 +26,24 @@ func machineWith(prog []isa.Inst) *arch.Machine {
 	return arch.NewMachine(ram)
 }
 
-func kinds(evs []event.Event) []event.Kind {
-	out := make([]event.Kind, len(evs))
-	for i, ev := range evs {
-		out[i] = ev.Kind()
+var allOn = func() (on [event.NumKinds]bool) {
+	for k := range on {
+		on[k] = true
+	}
+	return on
+}()
+
+// derived returns the derived records of an executed instruction.
+func derived(m *arch.Machine, ex *arch.Exec, vstartBefore uint64) []event.Record {
+	var a event.Arena
+	AppendEvents(&a, 0, 0, &allOn, m, ex, vstartBefore)
+	return a.Recs
+}
+
+func kinds(recs []event.Record) []event.Kind {
+	out := make([]event.Kind, len(recs))
+	for i, r := range recs {
+		out[i] = r.Kind
 	}
 	return out
 }
@@ -32,11 +53,12 @@ func TestLoadDerivation(t *testing.T) {
 	m.State.GPR[2] = mem.RAMBase + 0x100
 	m.Mem.Write(mem.RAMBase+0x100, 8, 0xABCD)
 	ex := m.Step()
-	evs := Events(m, &ex, 0)
+	evs := derived(m, &ex, 0)
 	if len(evs) != 1 {
 		t.Fatalf("events = %v", kinds(evs))
 	}
-	ld, ok := evs[0].(*event.Load)
+	ev, _ := evs[0].Event()
+	ld, ok := ev.(*event.Load)
 	if !ok || ld.Data != 0xABCD || ld.MMIO != 0 {
 		t.Fatalf("load event = %+v", evs[0])
 	}
@@ -50,17 +72,17 @@ func TestAtomicAndLrScDerivation(t *testing.T) {
 	})
 	m.State.GPR[2] = mem.RAMBase + 0x200
 	ex := m.Step()
-	got := kinds(Events(m, &ex, 0))
+	got := kinds(derived(m, &ex, 0))
 	if len(got) != 2 || got[0] != event.KindLoad || got[1] != event.KindLrSc {
 		t.Errorf("lr.d derives %v", got)
 	}
 	ex = m.Step()
-	got = kinds(Events(m, &ex, 0))
+	got = kinds(derived(m, &ex, 0))
 	if len(got) != 2 || got[0] != event.KindStore || got[1] != event.KindLrSc {
 		t.Errorf("sc.d derives %v", got)
 	}
 	ex = m.Step()
-	got = kinds(Events(m, &ex, 0))
+	got = kinds(derived(m, &ex, 0))
 	if len(got) != 1 || got[0] != event.KindAtomic {
 		t.Errorf("amo derives %v", got)
 	}
@@ -69,14 +91,14 @@ func TestAtomicAndLrScDerivation(t *testing.T) {
 func TestExceptionDerivation(t *testing.T) {
 	m := machineWith([]isa.Inst{{Op: isa.OpECALL}})
 	ex := m.Step()
-	got := kinds(Events(m, &ex, 0))
+	got := kinds(derived(m, &ex, 0))
 	if len(got) != 1 || got[0] != event.KindException {
 		t.Errorf("ecall derives %v", got)
 	}
 
 	m = machineWith([]isa.Inst{{Op: isa.OpHLVD, Rd: 1, Rs1: 2}})
 	ex = m.Step() // hgatp=0 → guest fault
-	got = kinds(Events(m, &ex, 0))
+	got = kinds(derived(m, &ex, 0))
 	want := []event.Kind{event.KindException, event.KindGuestPageFault, event.KindHTrap}
 	if len(got) != len(want) {
 		t.Fatalf("guest fault derives %v", got)
@@ -97,7 +119,7 @@ func TestVectorDerivationWithVstart(t *testing.T) {
 	m.State.SetCSR(isa.CSRVstart, 2)
 	vb := m.State.CSRVal(isa.CSRVstart)
 	ex := m.Step()
-	got := kinds(Events(m, &ex, vb))
+	got := kinds(derived(m, &ex, vb))
 	want := []event.Kind{event.KindVecCommit, event.KindVecWriteback, event.KindVstartUpdate}
 	if len(got) != len(want) {
 		t.Fatalf("vadd derives %v", got)
@@ -105,25 +127,92 @@ func TestVectorDerivationWithVstart(t *testing.T) {
 }
 
 func TestDigestOrderInsensitive(t *testing.T) {
+	add := func(d *Digest, ev event.Event) { d.Add(ev.Kind(), event.EncodeValue(ev)) }
 	a := &event.Load{PAddr: 1, Data: 2}
 	b := &event.Store{Addr: 3, Data: 4}
 	var d1, d2 Digest
-	d1.Add(a)
-	d1.Add(b)
-	d2.Add(b)
-	d2.Add(a)
+	add(&d1, a)
+	add(&d1, b)
+	add(&d2, b)
+	add(&d2, a)
 	if !d1.Equal(d2) {
 		t.Error("digest is order-sensitive")
 	}
 	var d3 Digest
-	d3.Add(a)
+	add(&d3, a)
 	if d1.Equal(d3) {
 		t.Error("digest ignores content")
 	}
 	var d4 Digest
-	d4.Add(a)
-	d4.Add(&event.Store{Addr: 3, Data: 5})
+	add(&d4, a)
+	add(&d4, &event.Store{Addr: 3, Data: 5})
 	if d1.Equal(d4) {
 		t.Error("digest ignores field changes")
+	}
+}
+
+// TestAppendEventsFilters: a kind switched off in the filter is skipped and
+// leaves no bytes behind, so the arena holds exactly the monitored events.
+func TestAppendEventsFilters(t *testing.T) {
+	m := machineWith([]isa.Inst{{Op: isa.OpLRD, Rd: 1, Rs1: 2}})
+	m.State.GPR[2] = mem.RAMBase + 0x200
+	ex := m.Step()
+	on := allOn
+	on[event.KindLoad] = false
+	var a event.Arena
+	AppendEvents(&a, 7, 1, &on, m, &ex, 0)
+	if len(a.Recs) != 1 || a.Recs[0].Kind != event.KindLrSc || a.Recs[0].Seq != 7 || a.Recs[0].Core != 1 ||
+		len(a.Buf) != event.SizeOf(event.KindLrSc) {
+		t.Fatalf("filtered derivation = %v (%dB)", a.Recs, len(a.Buf))
+	}
+}
+
+// digestLines renders, per kind, the digest of one patterned event and of
+// the zero event, then the running digest over all of them.
+func digestLines(t *testing.T, add func(*Digest, event.Event)) []string {
+	t.Helper()
+	var lines []string
+	var all Digest
+	for k := event.Kind(0); k < event.NumKinds; k++ {
+		pat := make([]byte, event.SizeOf(k))
+		for i := range pat {
+			pat[i] = byte(i*37 + int(k)*11 + 1)
+		}
+		ev, err := event.Decode(k, pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var one, zero Digest
+		add(&one, ev)
+		add(&zero, event.InfoOf(k).New())
+		add(&all, ev)
+		lines = append(lines, fmt.Sprintf("%v pattern=%016x zero=%016x all=%d/%016x", k, one.Sum, zero.Sum, all.Count, all.Sum))
+	}
+	return lines
+}
+
+// TestDigestGolden pins Digest.Add per kind to sums captured when it still
+// hashed typed events, so the byte form the monitor and checker fold cannot
+// drift from it.
+func TestDigestGolden(t *testing.T) {
+	got := digestLines(t, func(d *Digest, ev event.Event) { d.Add(ev.Kind(), event.EncodeValue(ev)) })
+	path := filepath.Join("testdata", "digest_golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden fixture missing (run with -update to create): %v", err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("fixture has %d kinds, want %d", len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("digest drifted:\n got %s\nwant %s", got[i], want[i])
+		}
 	}
 }

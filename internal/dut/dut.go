@@ -37,7 +37,10 @@ type DUT struct {
 	rng      *rand.Rand
 	finished bool
 	endGroup bool
-	out      []event.Record
+
+	// arena holds the current cycle's records and their encodings; it is
+	// reset, not reallocated, every StepCycle.
+	arena event.Arena
 }
 
 // New builds a DUT over its own clone of the program image. entries gives
@@ -77,14 +80,12 @@ func (d *DUT) Finished() bool { return d.finished }
 // UARTOutput returns the console bytes the workload printed.
 func (d *DUT) UARTOutput() []byte { return d.Bus.UART.Out }
 
-func (d *DUT) emit(c *Core, seq uint64, ev event.Event) {
-	k := ev.Kind()
-	if !d.enabled[k] {
-		return
+// push adopts enc — the arena's buffer extended by one encoding of kind k —
+// as the core's next record, unless the design does not monitor k.
+func (d *DUT) push(c *Core, seq uint64, k event.Kind, enc []byte) {
+	if d.enabled[k] {
+		d.arena.Push(seq, c.ID, k, enc)
 	}
-	d.EventCount[k]++
-	d.EventBytes += uint64(event.SizeOf(k))
-	d.out = append(d.out, event.Record{Seq: seq, Core: c.ID, Ev: ev})
 }
 
 func (d *DUT) pct(p int) bool { return p > 0 && d.rng.Intn(100) < p }
@@ -92,11 +93,15 @@ func (d *DUT) pct(p int) bool { return p > 0 && d.rng.Intn(100) < p }
 // StepCycle advances the DUT by one cycle and returns the verification
 // events the monitor extracted, in checking order. done becomes true when
 // the workload fires the exit device.
+//
+// The records and their encodings live in the monitor's per-cycle arena:
+// they are valid until the next StepCycle, and a caller that keeps one
+// longer copies it.
 func (d *DUT) StepCycle() (records []event.Record, done bool) {
 	if d.finished {
 		return nil, true
 	}
-	d.out = d.out[:0]
+	d.arena.Reset()
 	d.CycleCount++
 	d.Bus.CLINT.Tick(1)
 
@@ -106,7 +111,11 @@ func (d *DUT) StepCycle() (records []event.Record, done bool) {
 			break
 		}
 	}
-	return d.out, d.finished
+	for _, r := range d.arena.Recs {
+		d.EventCount[r.Kind]++
+	}
+	d.EventBytes += uint64(len(d.arena.Buf))
+	return d.arena.Recs, d.finished
 }
 
 func (d *DUT) stepCore(c *Core) {
@@ -138,9 +147,11 @@ func (d *DUT) stepCore(c *Core) {
 	if cause, ok := m.InterruptPendingEnabled(); ok {
 		pc := m.State.PC
 		if cause == isa.IntVirtual {
-			d.emit(c, c.Seq, &event.VirtualInterrupt{Cause: cause, PC: pc, HartID: uint64(c.ID)})
+			vi := event.VirtualInterrupt{Cause: cause, PC: pc, HartID: uint64(c.ID)}
+			d.push(c, c.Seq, event.KindVirtualInterrupt, vi.AppendTo(d.arena.Buf))
 		}
-		d.emit(c, c.Seq, &event.Interrupt{Cause: cause, PC: pc})
+		irq := event.Interrupt{Cause: cause, PC: pc}
+		d.push(c, c.Seq, event.KindInterrupt, irq.AppendTo(d.arena.Buf))
 		m.TakeInterrupt(cause)
 		d.emitSnapshots(c, true)
 		return // interrupt redirect consumes the cycle
@@ -193,17 +204,16 @@ func (d *DUT) commitOne(c *Core) bool {
 	if ex.Special {
 		flags |= event.CommitSpecial
 	}
-	d.emit(c, seq, &event.InstrCommit{
+	ic := event.InstrCommit{
 		PC: ex.PC, Instr: ex.Instr, Flags: flags, Wdest: wdest,
 		FuType: uint8(isa.ClassOf(ex.Inst.Op)), Wdata: wdata,
 		RobIdx: uint16(seq % 256),
-	})
+	}
+	d.push(c, seq, event.KindInstrCommit, ic.AppendTo(d.arena.Buf))
 
 	// Deterministic, REF-derivable events come from the shared derivation
 	// so the checker can recompute them bit-exactly (Squash digests).
-	for _, ev := range derive.Events(m, &ex, vstartBefore) {
-		d.emit(c, seq, ev)
-	}
+	derive.AppendEvents(&d.arena, seq, c.ID, &d.enabled, m, &ex, vstartBefore)
 	if ex.Exception {
 		d.endGroup = true
 	}
@@ -216,7 +226,8 @@ func (d *DUT) commitOne(c *Core) bool {
 			if d.pct(8) {
 				mp = 1
 			}
-			d.emit(c, seq, &event.Redirect{PC: ex.PC, Target: ex.NextPC, Taken: 1, Mispred: mp})
+			rd := event.Redirect{PC: ex.PC, Target: ex.NextPC, Taken: 1, Mispred: mp}
+			d.push(c, seq, event.KindRedirect, rd.AppendTo(d.arena.Buf))
 		}
 	}
 
@@ -225,7 +236,8 @@ func (d *DUT) commitOne(c *Core) bool {
 	}
 	if d.Bus.Exit.Fired {
 		code := d.Bus.Exit.Code
-		d.emit(c, seq, &event.Trap{PC: ex.PC, Code: code, Cycle: d.CycleCount, InstrCnt: d.Instrs})
+		tr := event.Trap{PC: ex.PC, Code: code, Cycle: d.CycleCount, InstrCnt: d.Instrs}
+		d.push(c, seq, event.KindTrap, tr.AppendTo(d.arena.Buf))
 		d.finished = true
 	}
 	return true
@@ -240,7 +252,7 @@ func (d *DUT) emitHierarchy(c *Core, seq uint64, ex *arch.Exec) {
 	}
 	if d.pct(d.Cfg.MissPct) {
 		line := ex.MemAddr &^ 63
-		rf := &event.Refill{Addr: line}
+		rf := event.Refill{Addr: line}
 		var raw [64]byte
 		d.RAM.ReadBytes(line, raw[:])
 		for i := 0; i < 8; i++ {
@@ -248,26 +260,29 @@ func (d *DUT) emitHierarchy(c *Core, seq uint64, ex *arch.Exec) {
 				rf.Data[i] = rf.Data[i]<<8 | uint64(raw[i*8+j])
 			}
 		}
-		d.emit(c, seq, rf)
+		d.push(c, seq, event.KindRefill, rf.AppendTo(d.arena.Buf))
 		if d.pct(d.Cfg.CMOPct) {
-			d.emit(c, seq, &event.CMO{Addr: line, Op: 1})
+			cmo := event.CMO{Addr: line, Op: 1}
+			d.push(c, seq, event.KindCMO, cmo.AppendTo(d.arena.Buf))
 		}
 	}
 	if d.pct(d.Cfg.TLBPct) {
 		vpn := ex.MemAddr >> 12
-		d.emit(c, seq, &event.L1TLB{VPN: vpn, PPN: vpn, Satp: c.M.State.CSRVal(isa.CSRSatp), Perm: 0xF, Level: 2})
+		l1 := event.L1TLB{VPN: vpn, PPN: vpn, Satp: c.M.State.CSRVal(isa.CSRSatp), Perm: 0xF, Level: 2}
+		d.push(c, seq, event.KindL1TLB, l1.AppendTo(d.arena.Buf))
 		if d.pct(25) {
-			d.emit(c, seq, &event.L2TLB{
+			l2 := event.L2TLB{
 				VPN: vpn, PPN: vpn, GVPN: vpn, Satp: c.M.State.CSRVal(isa.CSRSatp),
 				Perm: 0xF, Level: 2,
-			})
+			}
+			d.push(c, seq, event.KindL2TLB, l2.AppendTo(d.arena.Buf))
 		}
 	}
 	if !ex.IsLoad && d.pct(d.Cfg.SbufPct) {
 		line := ex.MemAddr &^ 63
-		sb := &event.Sbuffer{Addr: line, Mask: ^uint64(0)}
+		sb := event.Sbuffer{Addr: line, Mask: ^uint64(0)}
 		d.RAM.ReadBytes(line, sb.Data[:])
-		d.emit(c, seq, sb)
+		d.push(c, seq, event.KindSbuffer, sb.AppendTo(d.arena.Buf))
 	}
 }
 
@@ -276,40 +291,37 @@ func (d *DUT) emitHierarchy(c *Core, seq uint64, ex *arch.Exec) {
 // trap CSR updates are validated immediately.
 func (d *DUT) emitSnapshots(c *Core, afterInterrupt bool) {
 	seq := c.Seq
-	m := c.M
-	d.emit(c, seq, box(snapshot.IntRegState(m)))
-	d.emit(c, seq, box(snapshot.CSRState(m)))
+	d.snap(c, seq, event.KindArchIntRegState, snapshot.AppendIntRegState)
+	d.snap(c, seq, event.KindCSRState, snapshot.AppendCSRState)
 	if afterInterrupt {
 		return
 	}
 	cyc := int(d.CycleCount)
 	if e := d.Cfg.FpStateEvery; e > 0 && cyc%e == 0 {
-		d.emit(c, seq, box(snapshot.FpCSRState(m)))
-		d.emit(c, seq, box(snapshot.FpRegState(m)))
+		d.snap(c, seq, event.KindFpCSRState, snapshot.AppendFpCSRState)
+		d.snap(c, seq, event.KindArchFpRegState, snapshot.AppendFpRegState)
 	}
 	if e := d.Cfg.VecStateEvery; e > 0 && cyc%e == 0 {
-		d.emit(c, seq, box(snapshot.VecCSRState(m)))
+		d.snap(c, seq, event.KindVecCSRState, snapshot.AppendVecCSRState)
 		if cyc%(e*8) == 0 {
-			d.emit(c, seq, box(snapshot.VecRegState(m)))
+			d.snap(c, seq, event.KindArchVecRegState, snapshot.AppendVecRegState)
 		}
 	}
 	if e := d.Cfg.HStateEvery; e > 0 && cyc%e == 0 {
-		d.emit(c, seq, box(snapshot.HCSRState(m)))
+		d.snap(c, seq, event.KindHCSRState, snapshot.AppendHCSRState)
 	}
 	if e := d.Cfg.DbgStateEvery; e > 0 && cyc%e == 0 {
-		d.emit(c, seq, box(snapshot.DebugCSRState(m)))
-		d.emit(c, seq, box(snapshot.TriggerCSRState(m)))
+		d.snap(c, seq, event.KindDebugCSRState, snapshot.AppendDebugCSRState)
+		d.snap(c, seq, event.KindTriggerCSRState, snapshot.AppendTriggerCSRState)
 	}
 }
 
-// box moves a snapshot value to the heap as the event the monitor emits.
-func box[T any](v T) *T { return &v }
-
-func sizeMask(size int) uint64 {
-	if size >= 8 {
-		return ^uint64(0)
+// snap emits core c's snapshot of kind k, encoded by enc, when k is
+// monitored.
+func (d *DUT) snap(c *Core, seq uint64, k event.Kind, enc func([]byte, *arch.Machine) []byte) {
+	if d.enabled[k] {
+		d.arena.Push(seq, c.ID, k, enc(d.arena.Buf, c.M))
 	}
-	return 1<<(8*size) - 1
 }
 
 // String summarizes the DUT.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bugs"
 	"repro/internal/dut"
 	"repro/internal/event"
 	"repro/internal/workload"
@@ -16,7 +17,11 @@ func runAll(t *testing.T, d *dut.DUT, maxCycles int) [][]event.Record {
 	for i := 0; i < maxCycles; i++ {
 		recs, done := d.StepCycle()
 		if len(recs) > 0 {
-			cp := append([]event.Record(nil), recs...)
+			// The records alias the monitor's per-cycle arena: keep copies.
+			cp := make([]event.Record, len(recs))
+			for i, r := range recs {
+				cp[i] = r.Clone()
+			}
 			cycles = append(cycles, cp)
 		}
 		if done {
@@ -46,7 +51,7 @@ func TestDUTIsDeterministic(t *testing.T) {
 			t.Fatalf("cycle %d: %d vs %d records", i, len(a[i]), len(b[i]))
 		}
 		for j := range a[i] {
-			if a[i][j].Seq != b[i][j].Seq || !reflect.DeepEqual(a[i][j].Ev, b[i][j].Ev) {
+			if !reflect.DeepEqual(a[i][j], b[i][j]) {
 				t.Fatalf("cycle %d record %d differs", i, j)
 			}
 		}
@@ -126,5 +131,59 @@ func TestUARTCapturesWorkloadOutput(t *testing.T) {
 	runAll(t, d, 3_000_000)
 	if len(d.UARTOutput()) == 0 {
 		t.Error("UART captured nothing on an MMIO-heavy workload")
+	}
+}
+
+// TestRecordEncodingsAreClamped: every record views exactly its kind's
+// wire size of the shared per-cycle arena, with its capacity clamped, so an
+// append to one record's bytes cannot overwrite the next record's.
+func TestRecordEncodingsAreClamped(t *testing.T) {
+	prog := smallProg(1)
+	d := dut.New(dut.XiangShanDefault(), prog.Image, prog.Entries, arch.Hooks{})
+	for i := 0; i < 200; i++ {
+		recs, _ := d.StepCycle()
+		for _, r := range recs {
+			if len(r.Data) != event.SizeOf(r.Kind) || cap(r.Data) != len(r.Data) {
+				t.Fatalf("cycle %d: %v record is %dB (cap %d), want %dB", i, r.Kind, len(r.Data), cap(r.Data), event.SizeOf(r.Kind))
+			}
+		}
+	}
+}
+
+// TestAllocBudgetStepCycle: at steady state the monitor allocates nothing
+// per cycle — encodings go into the reused per-cycle arena — both on a bare
+// design and with bug-injection hooks installed.
+func TestAllocBudgetStepCycle(t *testing.T) {
+	for _, hooked := range []bool{false, true} {
+		p := workload.KVM()
+		p.TargetInstrs = 200_000
+		prog := workload.Generate(p, 1, 5)
+		var hooks arch.Hooks
+		if hooked {
+			// Every library bug's hooks, armed too late to fire here.
+			var all []arch.Hooks
+			for _, b := range bugs.Library() {
+				all = append(all, b.Hooks(1<<30))
+			}
+			hooks.AfterExec = func(m *arch.Machine, ex *arch.Exec) {
+				for _, h := range all {
+					if h.AfterExec != nil {
+						h.AfterExec(m, ex)
+					}
+				}
+			}
+		}
+		d := dut.New(dut.XiangShanDefault(), prog.Image, prog.Entries, hooks)
+		for i := 0; i < 20_000; i++ { // warm-up: arena growth, touched pages
+			d.StepCycle()
+		}
+		allocs := testing.AllocsPerRun(5_000, func() {
+			if _, done := d.StepCycle(); done {
+				t.Fatal("workload ended inside the measured window")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("StepCycle (hooks %v) allocates %.3f/cycle, budget 0", hooked, allocs)
+		}
 	}
 }

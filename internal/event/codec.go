@@ -179,17 +179,62 @@ func Decode(k Kind, data []byte) (Event, error) {
 	return ev, nil
 }
 
-// Record is an event stamped with its order tag: the global instruction
-// commit sequence number after which it must be checked. The tag is the
-// order semantics Squash exploits to decouple transmission order from
-// checking order (paper §4.3).
+// Record is one verification event as the monitor emits it: its kind and
+// wire encoding, stamped with its core and order tag — the global
+// instruction commit sequence number after which it must be checked. The
+// tag is the order semantics Squash exploits to decouple transmission order
+// from checking order (paper §4.3).
+//
+// Data is a view, not an owned copy. A record the DUT emits aliases the
+// monitor's per-cycle arena and is valid until the next StepCycle; whoever
+// keeps one longer copies it (see DESIGN.md "The monitor emits bytes").
 type Record struct {
 	Seq  uint64
 	Core uint8
-	Ev   Event
+	Kind Kind
+	Data []byte
 }
+
+// RecordOf encodes ev into a record that owns its bytes.
+func RecordOf(seq uint64, core uint8, ev Event) Record {
+	return Record{Seq: seq, Core: core, Kind: ev.Kind(), Data: EncodeValue(ev)}
+}
+
+// Clone returns a copy of r that owns its bytes.
+func (r Record) Clone() Record {
+	r.Data = append([]byte(nil), r.Data...)
+	return r
+}
+
+// Event decodes the record into a fresh typed event.
+func (r Record) Event() (Event, error) { return Decode(r.Kind, r.Data) }
 
 // String renders a record for debug reports.
 func (r Record) String() string {
-	return fmt.Sprintf("c%d@%d %v%+v", r.Core, r.Seq, r.Ev.Kind(), r.Ev)
+	ev, err := r.Event()
+	if err != nil {
+		return fmt.Sprintf("c%d@%d %v<%v>", r.Core, r.Seq, r.Kind, err)
+	}
+	return fmt.Sprintf("c%d@%d %v%+v", r.Core, r.Seq, r.Kind, ev)
+}
+
+// Arena is a reusable run of records whose encodings share one buffer: the
+// DUT monitor's per-cycle output and the checker's derived-event scratch.
+// Records in Recs alias Buf and are valid until the next Reset.
+type Arena struct {
+	Buf  []byte
+	Recs []Record
+}
+
+// Reset empties the arena, keeping its storage.
+func (a *Arena) Reset() {
+	a.Buf, a.Recs = a.Buf[:0], a.Recs[:0]
+}
+
+// Push adopts enc — a.Buf extended by one encoding of kind k, as an AppendTo
+// or Append* encoder returns it — as the next record.
+func (a *Arena) Push(seq uint64, core uint8, k Kind, enc []byte) {
+	start := len(a.Buf)
+	a.Buf = enc
+	a.Recs = append(a.Recs, Record{Seq: seq, Core: core, Kind: k, Data: enc[start:len(enc):len(enc)]})
 }

@@ -125,6 +125,66 @@ func TestNDEClassification(t *testing.T) {
 	}
 }
 
+// TestNDEEncodingMatchesIsNDE pins the byte-level NDE test the fusion unit
+// uses to event.IsNDE: for every kind, on zero and patterned payloads, with
+// any MMIO field cleared and set.
+func TestNDEEncodingMatchesIsNDE(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for k := Kind(0); k < NumKinds; k++ {
+		for trial := 0; trial < 4; trial++ {
+			pat := make([]byte, SizeOf(k))
+			if trial > 0 {
+				rng.Read(pat)
+			}
+			for _, mmio := range []uint8{0, 1} {
+				ev, err := Decode(k, pat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f := reflect.ValueOf(ev).Elem().FieldByName("MMIO"); f.IsValid() {
+					f.SetUint(uint64(mmio))
+				} else if mmio == 1 {
+					continue
+				}
+				enc := EncodeValue(ev)
+				if got, want := IsNDEEncoding(k, enc), IsNDE(ev); got != want {
+					t.Errorf("%v (trial %d, mmio %d): IsNDEEncoding %v, IsNDE %v", k, trial, mmio, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestRecordString(t *testing.T) {
+	rec := RecordOf(9, 1, &Trap{PC: 0x80, Code: 3})
+	if got, want := rec.String(), "c1@9 Trap&{PC:128 Code:3 Cycle:0 InstrCnt:0}"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	cp := rec.Clone()
+	rec.Data[0] = 0xFF
+	if cp.Data[0] != 0x80 {
+		t.Error("Clone shares its bytes with the original")
+	}
+}
+
+func TestArenaPushViews(t *testing.T) {
+	var a Arena
+	for i := 0; i < 100; i++ { // enough to reallocate Buf several times
+		ev := Trap{PC: uint64(i)}
+		a.Push(uint64(i), 0, KindTrap, ev.AppendTo(a.Buf))
+	}
+	for i, r := range a.Recs {
+		ev, err := r.Event()
+		if err != nil || ev.(*Trap).PC != uint64(i) || cap(r.Data) != len(r.Data) {
+			t.Fatalf("record %d = %v (err %v, cap %d)", i, r, err, cap(r.Data))
+		}
+	}
+	a.Reset()
+	if len(a.Buf) != 0 || len(a.Recs) != 0 || cap(a.Buf) == 0 {
+		t.Errorf("Reset left len %d/%d cap %d", len(a.Buf), len(a.Recs), cap(a.Buf))
+	}
+}
+
 func TestTotalSizeReasonable(t *testing.T) {
 	// One instance of each kind sums to ~3 KiB; the paper's 11.5 KB figure
 	// counts multiple hardware instances per kind (8 commit slots etc.),

@@ -25,6 +25,23 @@ func IsNDE(ev Event) bool {
 	return false
 }
 
+// loadMMIOOffset is the byte offset of Load.MMIO in its wire encoding.
+const loadMMIOOffset = 34
+
+// IsNDEEncoding is IsNDE on a wire encoding of kind k: interrupts always,
+// loads when their MMIO byte is set.
+func IsNDEEncoding(k Kind, data []byte) bool {
+	switch k {
+	case KindInterrupt, KindVirtualInterrupt:
+		return true
+	case KindLoad:
+		return len(data) > loadMMIOOffset && data[loadMMIOOffset] != 0
+	default:
+		// No other kind implements NonDeterministic.
+		return false
+	}
+}
+
 // InstrCommit flags.
 const (
 	CommitRfWen   uint16 = 1 << 0 // writes an integer register

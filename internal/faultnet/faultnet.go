@@ -29,6 +29,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/event"
@@ -49,7 +50,9 @@ const (
 	// Corrupt flips one byte of a write; the frame checksum must catch it.
 	Corrupt
 	// Reset delivers a prefix of a write and then closes the connection,
-	// dropping the tail — the mid-frame reset case.
+	// dropping the tail — the mid-frame reset case. Inbound bytes read once
+	// the reset has begun are dropped too, as a reset socket discards
+	// them: a reply the peer sends to the delivered prefix is always lost.
 	Reset
 	// Stall silently discards a write and everything after it: the local
 	// side sees successful writes while the peer sees a dead link.
@@ -236,6 +239,10 @@ type Conn struct {
 	stalled  bool
 	resetErr error
 
+	// resetting is set before a Reset delivers its prefix; reads that
+	// return after it drop their bytes.
+	resetting atomic.Bool
+
 	rmu   sync.Mutex
 	rrng  *rand.Rand
 	reads int
@@ -378,6 +385,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		return c.nc.Write(tmp)
 
 	case Reset:
+		c.resetting.Store(true)
 		k := clamp(op.Offset, 0, len(p))
 		n, _ := c.nc.Write(p[:k])
 		c.nc.Close()
@@ -410,9 +418,17 @@ func (c *Conn) Read(p []byte) (int, error) {
 		n, err := c.nc.Read(p[:sliver])
 		c.j.record(Event{Dir: "read", Index: index, Kind: ShortRead,
 			Detail: fmt.Sprintf("%d of up to %d bytes delivered", n, len(p))})
-		return n, err
+		return c.dropAfterReset(n, err)
 	}
-	return c.nc.Read(p)
+	return c.dropAfterReset(c.nc.Read(p))
+}
+
+// dropAfterReset discards a read's bytes once a Reset has begun.
+func (c *Conn) dropAfterReset(n int, err error) (int, error) {
+	if c.resetting.Load() {
+		return 0, ErrInjectedReset
+	}
+	return n, err
 }
 
 // Close closes the wrapped connection.

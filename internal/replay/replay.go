@@ -31,45 +31,74 @@ import (
 // hardware producer goroutine appends (Add) while the software consumer
 // reads ranges for replay (Range), mirroring the hardware's dual-ported
 // buffer RAM.
+//
+// Storage is pointer-free: fixed-size record headers indexed by token, and
+// the records' encodings indexed by absolute byte position, each in blocks
+// that are added as the ring grows and recycled as it evicts (see blocks).
+// Add copies each record in; Range, the rare replay path, copies the
+// requested ones out.
 type Buffer struct {
+	// Cap is the number of records kept; eviction trims back to it in
+	// quarter-capacity chunks, so up to Cap+Cap/4-1 may be buffered.
 	Cap int
 
-	mu    sync.Mutex
-	recs  []event.Record
-	first uint64 // token of recs[0]
-	next  uint64 // token of the next record to be added
-
-	// Bytes counts buffered payload for resource accounting. Guarded by
-	// mu; concurrent readers should use BufferedBytes.
-	Bytes uint64
+	mu          sync.Mutex
+	hdr         blocks[recHdr]
+	data        blocks[byte]
+	first, next uint64 // tokens of the oldest buffered record and the next one
+	tail, head  uint64 // absolute byte positions bounding the buffered encodings
 }
+
+// recHdr locates one buffered record's encoding and carries its stamp.
+type recHdr struct {
+	pos  uint64 // absolute byte position of the encoding
+	seq  uint64
+	n    uint32 // encoding length
+	core uint8
+	kind event.Kind
+}
+
+// Block sizes, as shifts: 2048 headers (48 KiB) and 64 KiB of encodings.
+const (
+	hdrBlockShift  = 11
+	dataBlockShift = 16
+)
 
 // NewBuffer returns a ring buffer holding up to cap records.
 func NewBuffer(cap int) *Buffer {
 	if cap <= 0 {
 		cap = 1 << 16
 	}
-	return &Buffer{Cap: cap}
+	return &Buffer{Cap: cap, hdr: blocks[recHdr]{shift: hdrBlockShift}, data: blocks[byte]{shift: dataBlockShift}}
 }
 
-// Add buffers one cycle's records and returns the token of the first.
+// Add buffers one cycle's records — copying their encodings, so the caller
+// may reuse them — and returns the token of the first.
 func (b *Buffer) Add(recs []event.Record) (startToken uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	startToken = b.next
 	for _, r := range recs {
-		b.recs = append(b.recs, r)
+		b.hdr.span(b.next)[0] = recHdr{
+			pos: b.head, seq: r.Seq, n: uint32(len(r.Data)), core: r.Core, kind: r.Kind,
+		}
+		for pos, src := b.head, r.Data; len(src) > 0; {
+			n := copy(b.data.span(pos), src)
+			pos, src = pos+uint64(n), src[n:]
+		}
+		b.head += uint64(len(r.Data))
 		b.next++
-		b.Bytes += uint64(event.SizeOf(r.Ev.Kind()))
 	}
 	// Evict in quarter-capacity chunks so the amortized cost per record
 	// stays O(1).
-	if over := len(b.recs) - b.Cap; over >= b.Cap/4 {
-		for _, r := range b.recs[:over] {
-			b.Bytes -= uint64(event.SizeOf(r.Ev.Kind()))
-		}
-		b.recs = append(b.recs[:0], b.recs[over:]...)
+	if over := int(b.next-b.first) - b.Cap; over >= b.Cap/4 {
 		b.first += uint64(over)
+		b.tail = b.head
+		if b.first < b.next {
+			b.tail = b.hdr.span(b.first)[0].pos
+		}
+		b.hdr.trim(b.first)
+		b.data.trim(b.tail)
 	}
 	return startToken
 }
@@ -78,7 +107,7 @@ func (b *Buffer) Add(recs []event.Record) (startToken uint64) {
 func (b *Buffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.recs)
+	return int(b.next - b.first)
 }
 
 // NextToken returns the token the next added record will get.
@@ -92,22 +121,39 @@ func (b *Buffer) NextToken() uint64 {
 func (b *Buffer) BufferedBytes() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.Bytes
+	return b.head - b.tail
 }
 
 // Range retransmits the buffered records for one core with tokens in
-// [from, b.next). It reports an error if the range was evicted.
+// [from, b.next), as copies the caller owns. It reports an error if the
+// range was evicted.
 func (b *Buffer) Range(core uint8, from uint64) ([]event.Record, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if from < b.first {
 		return nil, fmt.Errorf("replay: token %d evicted (buffer starts at %d)", from, b.first)
 	}
-	var out []event.Record
-	for i := int(from - b.first); i < len(b.recs); i++ {
-		if b.recs[i].Core == core {
-			out = append(out, b.recs[i])
+	var n, size int
+	for t := from; t < b.next; t++ {
+		if h := b.hdr.span(t)[0]; h.core == core {
+			n++
+			size += int(h.n)
 		}
+	}
+	out := make([]event.Record, 0, n)
+	buf := make([]byte, size)
+	for t := from; t < b.next; t++ {
+		h := b.hdr.span(t)[0]
+		if h.core != core {
+			continue
+		}
+		data := buf[:h.n:h.n]
+		buf = buf[h.n:]
+		for pos, dst := h.pos, data; len(dst) > 0; {
+			n := copy(dst, b.data.span(pos))
+			pos, dst = pos+uint64(n), dst[n:]
+		}
+		out = append(out, event.Record{Seq: h.seq, Core: h.core, Kind: h.kind, Data: data})
 	}
 	return out, nil
 }
@@ -199,16 +245,15 @@ func (c *Controller) Run(original *checker.Mismatch) *Report {
 	const contextLen = 8
 	for _, rec := range recs {
 		rep.Replayed++
-		rep.ReplayedBytes += event.SizeOf(rec.Ev.Kind())
-		if len(rep.Context) == contextLen {
-			copy(rep.Context, rep.Context[1:])
-			rep.Context = rep.Context[:contextLen-1]
-		}
-		rep.Context = append(rep.Context, rec)
+		rep.ReplayedBytes += len(rec.Data)
 		if m := c.CC.Process(rec); m != nil {
 			rep.Detailed = m
-			return rep
+			break
 		}
+	}
+	// Copies, so a kept report does not pin the whole retransmitted range.
+	for _, rec := range recs[max(0, rep.Replayed-contextLen):rep.Replayed] {
+		rep.Context = append(rep.Context, rec.Clone())
 	}
 	return rep
 }

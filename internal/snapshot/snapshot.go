@@ -1,9 +1,9 @@
-// Package snapshot builds register/CSR-state verification events from an
-// architectural machine. The DUT monitor and the software checker build
-// snapshots with the same functions — one constructor per kind, returning a
-// value — so any state divergence between the two machines shows up as an
-// event mismatch. The DUT boxes the value into the event it emits; the
-// checker encodes it straight into a reusable buffer (AppendState).
+// Package snapshot encodes register/CSR-state verification events from an
+// architectural machine. The DUT monitor and the software checker encode
+// snapshots with the same functions — one Append encoder per kind — so any
+// state divergence between the two machines shows up as an event mismatch.
+// The DUT appends into its per-cycle arena; the checker into a reusable
+// per-core buffer (AppendState).
 package snapshot
 
 import (
@@ -12,24 +12,26 @@ import (
 	"repro/internal/isa"
 )
 
-// IntRegState snapshots the integer register file.
-func IntRegState(m *arch.Machine) event.ArchIntRegState {
-	return event.ArchIntRegState{GPR: m.State.GPR}
+// AppendIntRegState appends the integer register file snapshot to dst.
+func AppendIntRegState(dst []byte, m *arch.Machine) []byte {
+	ev := event.ArchIntRegState{GPR: m.State.GPR}
+	return ev.AppendTo(dst)
 }
 
-// FpRegState snapshots the floating-point register file.
-func FpRegState(m *arch.Machine) event.ArchFpRegState {
-	return event.ArchFpRegState{FPR: m.State.FPR}
+// AppendFpRegState appends the floating-point register file snapshot to dst.
+func AppendFpRegState(dst []byte, m *arch.Machine) []byte {
+	ev := event.ArchFpRegState{FPR: m.State.FPR}
+	return ev.AppendTo(dst)
 }
 
-// CSRState snapshots the machine-mode CSR group.
+// AppendCSRState appends the machine-mode CSR group snapshot to dst.
 //
 // mip is deliberately omitted (reported as zero): it reflects live device
 // state that the reference model cannot reproduce; interrupt delivery is
 // instead verified through Interrupt NDE synchronization, as in DiffTest.
-func CSRState(m *arch.Machine) event.CSRState {
+func AppendCSRState(dst []byte, m *arch.Machine) []byte {
 	s := &m.State
-	return event.CSRState{
+	ev := event.CSRState{
 		Mstatus:  s.CSRVal(isa.CSRMstatus),
 		Mcause:   s.CSRVal(isa.CSRMcause),
 		Mepc:     s.CSRVal(isa.CSRMepc),
@@ -47,21 +49,22 @@ func CSRState(m *arch.Machine) event.CSRState {
 		Mhartid:  s.CSRVal(isa.CSRMhartid),
 		Priv:     s.Priv,
 	}
+	return ev.AppendTo(dst)
 }
 
-// VecRegState snapshots the vector register file.
-func VecRegState(m *arch.Machine) event.ArchVecRegState {
+// AppendVecRegState appends the vector register file snapshot to dst.
+func AppendVecRegState(dst []byte, m *arch.Machine) []byte {
 	ev := event.ArchVecRegState{VReg: m.State.VReg}
 	ev.Ctx[0] = m.State.CSRVal(isa.CSRVl)
 	ev.Ctx[1] = m.State.CSRVal(isa.CSRVtype)
 	ev.Ctx[2] = m.State.CSRVal(isa.CSRVstart)
-	return ev
+	return ev.AppendTo(dst)
 }
 
-// VecCSRState snapshots the vector CSRs.
-func VecCSRState(m *arch.Machine) event.VecCSRState {
+// AppendVecCSRState appends the vector CSR snapshot to dst.
+func AppendVecCSRState(dst []byte, m *arch.Machine) []byte {
 	s := &m.State
-	return event.VecCSRState{
+	ev := event.VecCSRState{
 		Vstart: s.CSRVal(isa.CSRVstart),
 		Vxsat:  s.CSRVal(isa.CSRVxsat),
 		Vxrm:   s.CSRVal(isa.CSRVxrm),
@@ -70,17 +73,19 @@ func VecCSRState(m *arch.Machine) event.VecCSRState {
 		Vtype:  s.CSRVal(isa.CSRVtype),
 		Vlenb:  s.CSRVal(isa.CSRVlenb),
 	}
+	return ev.AppendTo(dst)
 }
 
-// FpCSRState snapshots fcsr.
-func FpCSRState(m *arch.Machine) event.FpCSRState {
-	return event.FpCSRState{Fcsr: m.State.CSRVal(isa.CSRFcsr)}
+// AppendFpCSRState appends the fcsr snapshot to dst.
+func AppendFpCSRState(dst []byte, m *arch.Machine) []byte {
+	ev := event.FpCSRState{Fcsr: m.State.CSRVal(isa.CSRFcsr)}
+	return ev.AppendTo(dst)
 }
 
-// HCSRState snapshots the hypervisor CSR group.
-func HCSRState(m *arch.Machine) event.HCSRState {
+// AppendHCSRState appends the hypervisor CSR group snapshot to dst.
+func AppendHCSRState(dst []byte, m *arch.Machine) []byte {
 	s := &m.State
-	return event.HCSRState{
+	ev := event.HCSRState{
 		Hstatus:  s.CSRVal(isa.CSRHstatus),
 		Hedeleg:  s.CSRVal(isa.CSRHedeleg),
 		Hideleg:  s.CSRVal(isa.CSRHideleg),
@@ -92,56 +97,45 @@ func HCSRState(m *arch.Machine) event.HCSRState {
 		Vsepc:    s.CSRVal(isa.CSRVsepc),
 		Vscause:  s.CSRVal(isa.CSRVscause),
 	}
+	return ev.AppendTo(dst)
 }
 
-// DebugCSRState snapshots the debug CSR group. The models implement no debug
-// mode, so the snapshot is all-zero unless a bug corrupts it.
-func DebugCSRState(m *arch.Machine) event.DebugCSRState {
-	return event.DebugCSRState{}
+// AppendDebugCSRState appends the debug CSR group snapshot to dst. The
+// models implement no debug mode, so the snapshot is all-zero unless a bug
+// corrupts it.
+func AppendDebugCSRState(dst []byte, m *arch.Machine) []byte {
+	var ev event.DebugCSRState
+	return ev.AppendTo(dst)
 }
 
-// TriggerCSRState snapshots the trigger CSR group (all-zero, as above).
-func TriggerCSRState(m *arch.Machine) event.TriggerCSRState {
-	return event.TriggerCSRState{}
+// AppendTriggerCSRState appends the trigger CSR group snapshot to dst
+// (all-zero, as above).
+func AppendTriggerCSRState(dst []byte, m *arch.Machine) []byte {
+	var ev event.TriggerCSRState
+	return ev.AppendTo(dst)
 }
 
-// AppendState appends the wire encoding of m's snapshot of kind k to dst,
-// with no heap event in between — the checker's side of a wire-space state
-// compare. The second result is false, and dst is returned unchanged, for a
-// kind that is not an architectural-state snapshot.
+// appenders maps each architectural-state snapshot kind to its encoder.
+var appenders = [event.NumKinds]func([]byte, *arch.Machine) []byte{
+	event.KindArchIntRegState: AppendIntRegState,
+	event.KindArchFpRegState:  AppendFpRegState,
+	event.KindCSRState:        AppendCSRState,
+	event.KindArchVecRegState: AppendVecRegState,
+	event.KindVecCSRState:     AppendVecCSRState,
+	event.KindFpCSRState:      AppendFpCSRState,
+	event.KindHCSRState:       AppendHCSRState,
+	event.KindDebugCSRState:   AppendDebugCSRState,
+	event.KindTriggerCSRState: AppendTriggerCSRState,
+}
+
+// AppendState appends the wire encoding of m's snapshot of kind k to dst.
+// The second result is false, and dst is returned unchanged, for a kind that
+// is not an architectural-state snapshot.
 func AppendState(k event.Kind, m *arch.Machine, dst []byte) ([]byte, bool) {
-	switch k {
-	case event.KindArchIntRegState:
-		ev := IntRegState(m)
-		return ev.AppendTo(dst), true
-	case event.KindArchFpRegState:
-		ev := FpRegState(m)
-		return ev.AppendTo(dst), true
-	case event.KindCSRState:
-		ev := CSRState(m)
-		return ev.AppendTo(dst), true
-	case event.KindArchVecRegState:
-		ev := VecRegState(m)
-		return ev.AppendTo(dst), true
-	case event.KindVecCSRState:
-		ev := VecCSRState(m)
-		return ev.AppendTo(dst), true
-	case event.KindFpCSRState:
-		ev := FpCSRState(m)
-		return ev.AppendTo(dst), true
-	case event.KindHCSRState:
-		ev := HCSRState(m)
-		return ev.AppendTo(dst), true
-	case event.KindDebugCSRState:
-		ev := DebugCSRState(m)
-		return ev.AppendTo(dst), true
-	case event.KindTriggerCSRState:
-		ev := TriggerCSRState(m)
-		return ev.AppendTo(dst), true
-	default:
-		// Not an architectural-state snapshot kind.
+	if k >= event.NumKinds || appenders[k] == nil {
 		return dst, false
 	}
+	return appenders[k](dst, m), true
 }
 
 // SnapshotKinds lists the event kinds that AppendState can encode.

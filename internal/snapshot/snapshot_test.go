@@ -22,28 +22,42 @@ func machine() *arch.Machine {
 	return m
 }
 
+// snap decodes m's snapshot of kind k.
+func snap(t *testing.T, m *arch.Machine, k event.Kind) event.Event {
+	t.Helper()
+	enc, ok := AppendState(k, m, nil)
+	if !ok {
+		t.Fatalf("AppendState(%v) refused a snapshot kind", k)
+	}
+	ev, err := event.Decode(k, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
 func TestBuildersReflectState(t *testing.T) {
 	m := machine()
-	if IntRegState(m).GPR[5] != 0xAA {
+	if snap(t, m, event.KindArchIntRegState).(*event.ArchIntRegState).GPR[5] != 0xAA {
 		t.Error("int reg snapshot wrong")
 	}
-	if FpRegState(m).FPR[2] != 0xBB {
+	if snap(t, m, event.KindArchFpRegState).(*event.ArchFpRegState).FPR[2] != 0xBB {
 		t.Error("fp reg snapshot wrong")
 	}
-	if VecRegState(m).VReg[1][3] != 0xCC {
+	if snap(t, m, event.KindArchVecRegState).(*event.ArchVecRegState).VReg[1][3] != 0xCC {
 		t.Error("vec reg snapshot wrong")
 	}
-	cs := CSRState(m)
+	cs := snap(t, m, event.KindCSRState).(*event.CSRState)
 	if cs.Mstatus != 0x1888 || cs.Priv != 3 {
 		t.Errorf("csr snapshot: %+v", cs)
 	}
-	if VecCSRState(m).Vl != 4 || VecCSRState(m).Vlenb != isa.VLenBytes {
+	if vc := snap(t, m, event.KindVecCSRState).(*event.VecCSRState); vc.Vl != 4 || vc.Vlenb != isa.VLenBytes {
 		t.Error("vec csr snapshot wrong")
 	}
-	if HCSRState(m).Hgatp != 1 {
+	if snap(t, m, event.KindHCSRState).(*event.HCSRState).Hgatp != 1 {
 		t.Error("hypervisor snapshot wrong")
 	}
-	if FpCSRState(m).Fcsr != 0xE0 {
+	if snap(t, m, event.KindFpCSRState).(*event.FpCSRState).Fcsr != 0xE0 {
 		t.Error("fcsr snapshot wrong")
 	}
 }
@@ -54,30 +68,32 @@ func TestMipOmittedFromCSRState(t *testing.T) {
 	// mismatches (NDE synchronization handles delivery instead).
 	m := machine()
 	m.State.SetCSR(isa.CSRMip, 0x880)
-	if CSRState(m).Mip != 0 {
+	if snap(t, m, event.KindCSRState).(*event.CSRState).Mip != 0 {
 		t.Error("mip leaked into the comparison snapshot")
 	}
 }
 
 // TestAppendStateDispatch: AppendState encodes exactly what the kind's
-// constructor builds, so the DUT's emitted event and the checker's
+// Append encoder writes, so the DUT's emitted bytes and the checker's
 // wire-space compare cannot drift apart.
 func TestAppendStateDispatch(t *testing.T) {
 	m := machine()
-	ir, fr, cs := IntRegState(m), FpRegState(m), CSRState(m)
-	vr, vc, fc := VecRegState(m), VecCSRState(m), FpCSRState(m)
-	hc, dc, tc := HCSRState(m), DebugCSRState(m), TriggerCSRState(m)
-	built := []event.Event{&ir, &fr, &cs, &vr, &vc, &fc, &hc, &dc, &tc}
-	if len(SnapshotKinds) != 9 || len(built) != len(SnapshotKinds) {
+	encoders := []func([]byte, *arch.Machine) []byte{
+		AppendIntRegState, AppendFpRegState, AppendCSRState,
+		AppendVecRegState, AppendVecCSRState, AppendFpCSRState,
+		AppendHCSRState, AppendDebugCSRState, AppendTriggerCSRState,
+	}
+	if len(SnapshotKinds) != 9 || len(encoders) != len(SnapshotKinds) {
 		t.Fatalf("snapshot kinds = %d, want the 9 register-update kinds", len(SnapshotKinds))
 	}
 	for i, k := range SnapshotKinds {
-		if built[i].Kind() != k {
-			t.Fatalf("SnapshotKinds[%d] = %v, constructor builds %v", i, k, built[i].Kind())
+		want := encoders[i]([]byte{0xEE}, m)
+		if len(want) != 1+event.SizeOf(k) || want[0] != 0xEE {
+			t.Fatalf("encoder %d for %v appended %dB, want %dB", i, k, len(want)-1, event.SizeOf(k))
 		}
 		got, ok := AppendState(k, m, nil)
-		if !ok || !bytes.Equal(got, event.EncodeValue(built[i])) {
-			t.Errorf("AppendState(%v) differs from the constructor's encoding", k)
+		if !ok || !bytes.Equal(got, want[1:]) {
+			t.Errorf("AppendState(%v) differs from its encoder", k)
 		}
 	}
 	if _, ok := AppendState(event.KindLoad, m, nil); ok {
@@ -99,9 +115,10 @@ func TestAppendStateNoAllocs(t *testing.T) {
 
 func TestSnapshotsAreValueCopies(t *testing.T) {
 	m := machine()
-	snap := IntRegState(m)
+	enc := AppendIntRegState(nil, m)
 	m.State.GPR[5] = 0xDD
-	if snap.GPR[5] != 0xAA {
+	ev, _ := event.Decode(event.KindArchIntRegState, enc)
+	if ev.(*event.ArchIntRegState).GPR[5] != 0xAA {
 		t.Error("snapshot aliases live state")
 	}
 }

@@ -33,24 +33,17 @@ type Desquasher struct {
 	LateSkipped atomic.Uint64
 }
 
-type taggedItem struct {
-	tag    uint64
-	rec    event.Record
-	isSkip bool // a skipped (MMIO) commit: pre-applied at its tag
-}
-
-// coreDesq is one core's reorder state. Decoded NDE and diff events are
-// owned here: each is taken from free, queued until its tag, checked, and
-// returned to free — the checker keeps no event after Process — so a core
-// decodes without allocating once its free lists are warm. lastSeen holds
-// separate copies, the completion bases for diffs, which queued events
-// never alias.
+// coreDesq is one core's reorder state. Tagged encodings are owned here:
+// each NDE or completed diff is copied into a buffer taken from free,
+// queued as a record whose Seq is its tag, checked, and returned to free —
+// the checker keeps nothing after Process — so a core runs without
+// allocating once its free lists are warm. lastSeen holds separate copies,
+// the completion bases for diffs, which queued records never alias.
 type coreDesq struct {
 	cc        *checker.CoreChecker
-	lastSeen  [event.NumKinds]event.Event
-	free      [event.NumKinds][]event.Event
-	enc       []byte // scratch for copying into lastSeen
-	queue     []taggedItem
+	lastSeen  [event.NumKinds][]byte
+	free      [event.NumKinds][][]byte
+	queue     []event.Record
 	digestAcc derive.Digest
 
 	// lastWindow tracks the most recent fused window for Replay.
@@ -82,29 +75,25 @@ func (d *Desquasher) Process(it wire.Item) *checker.Mismatch {
 	switch {
 	case it.IsNDE():
 		k, _ := it.Kind()
-		ev := cd.take(k)
-		tag, err := wire.DecodeNDE(it, ev)
+		tag, enc, err := wire.SplitNDE(it)
 		if err != nil {
-			cd.recycle(ev)
 			return &checker.Mismatch{Core: it.Core, Detail: err.Error()}
 		}
 		if stateKind(k) {
 			// First-instance state snapshot: seed the completion base.
-			cd.remember(ev)
+			cd.lastSeen[k] = append(cd.lastSeen[k][:0], enc...)
 		}
-		return d.handleTagged(cd, taggedItem{tag: tag, rec: event.Record{Seq: tag, Core: it.Core, Ev: ev},
-			isSkip: isSkipCommit(ev)})
+		return d.handleTagged(cd, event.Record{Seq: tag, Core: it.Core, Kind: k, Data: append(cd.take(k), enc...)})
 
 	case it.Type >= wire.TypeDiffBase && it.Type < wire.TypeInvalid:
 		k, _ := it.Kind()
-		ev := cd.take(k)
-		tag, err := wire.DecodeDiff(it, cd.lastSeen[k], ev)
+		tag, enc, err := wire.ApplyDiff(cd.take(k), it, cd.lastSeen[k])
 		if err != nil {
-			cd.recycle(ev)
+			cd.recycle(k, enc)
 			return &checker.Mismatch{Core: it.Core, Kind: k, Detail: err.Error()}
 		}
-		cd.remember(ev)
-		return d.handleTagged(cd, taggedItem{tag: tag, rec: event.Record{Seq: tag, Core: it.Core, Ev: ev}})
+		cd.lastSeen[k] = append(cd.lastSeen[k][:0], enc...)
+		return d.handleTagged(cd, event.Record{Seq: tag, Core: it.Core, Kind: k, Data: enc})
 
 	case it.IsFused():
 		fc, err := wire.DecodeFused(it)
@@ -141,62 +130,44 @@ func (d *Desquasher) Process(it wire.Item) *checker.Mismatch {
 	}
 }
 
-// take returns a decode target of kind k: a checked event from the free
-// list, or a new one while the list is cold.
-func (cd *coreDesq) take(k event.Kind) event.Event {
+// take returns an empty buffer for an encoding of kind k: a checked
+// record's buffer from the free list, or a new one while the list is cold.
+func (cd *coreDesq) take(k event.Kind) []byte {
 	if n := len(cd.free[k]); n > 0 {
-		ev := cd.free[k][n-1]
+		b := cd.free[k][n-1]
 		cd.free[k] = cd.free[k][:n-1]
-		return ev
+		return b[:0]
 	}
-	return event.InfoOf(k).New()
+	return make([]byte, 0, event.SizeOf(k))
 }
 
-// recycle returns an event nothing references any more to its free list.
-func (cd *coreDesq) recycle(ev event.Event) {
-	k := ev.Kind()
-	cd.free[k] = append(cd.free[k], ev)
-}
-
-// remember copies ev into the completion base of its kind.
-func (cd *coreDesq) remember(ev event.Event) {
-	k := ev.Kind()
-	if cd.lastSeen[k] == nil {
-		cd.lastSeen[k] = event.InfoOf(k).New()
-	}
-	cd.enc = ev.AppendTo(cd.enc[:0])
-	if _, err := cd.lastSeen[k].DecodeFrom(cd.enc); err != nil {
-		panic(err) // an encoding of k always decodes as k
-	}
-}
-
-func isSkipCommit(ev event.Event) bool {
-	ic, ok := ev.(*event.InstrCommit)
-	return ok && ic.Flags&event.CommitSkip != 0
+// recycle returns a buffer nothing references any more to its free list.
+func (cd *coreDesq) recycle(k event.Kind, b []byte) {
+	cd.free[k] = append(cd.free[k], b)
 }
 
 // handleTagged processes a tagged item now if the reference model is at its
 // tag, queues it if the tag is ahead, or completes-without-checking if the
 // tag was already passed (possible only for state/hierarchy checks around
 // end-of-run flushes).
-func (d *Desquasher) handleTagged(cd *coreDesq, ti taggedItem) *checker.Mismatch {
+func (d *Desquasher) handleTagged(cd *coreDesq, rec event.Record) *checker.Mismatch {
 	cur := cd.cc.InstrRet()
 	switch {
-	case ti.tag > cur:
-		cd.queue = append(cd.queue, ti)
+	case rec.Seq > cur:
+		cd.queue = append(cd.queue, rec)
 		return nil
-	case ti.tag == cur:
-		return d.applyTagged(cd, ti)
+	case rec.Seq == cur:
+		return d.applyTagged(cd, rec)
 	default: // late
 		d.LateSkipped.Add(1)
-		cd.recycle(ti.rec.Ev)
+		cd.recycle(rec.Kind, rec.Data)
 		return nil
 	}
 }
 
-func (d *Desquasher) applyTagged(cd *coreDesq, ti taggedItem) *checker.Mismatch {
-	m := cd.cc.Process(ti.rec)
-	cd.recycle(ti.rec.Ev)
+func (d *Desquasher) applyTagged(cd *coreDesq, rec event.Record) *checker.Mismatch {
+	m := cd.cc.Process(rec)
+	cd.recycle(rec.Kind, rec.Data)
 	return m
 }
 
@@ -204,10 +175,10 @@ func (d *Desquasher) applyTagged(cd *coreDesq, ti taggedItem) *checker.Mismatch 
 // model's current position; it reports whether anything was processed.
 func (d *Desquasher) drainAt(cd *coreDesq) (*checker.Mismatch, bool) {
 	cur := cd.cc.InstrRet()
-	for i, ti := range cd.queue {
-		if ti.tag == cur {
+	for i, rec := range cd.queue {
+		if rec.Seq == cur {
 			cd.queue = append(cd.queue[:i], cd.queue[i+1:]...)
-			return d.applyTagged(cd, ti), true
+			return d.applyTagged(cd, rec), true
 		}
 	}
 	return nil, false

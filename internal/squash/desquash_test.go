@@ -55,11 +55,15 @@ func feed(t *testing.T, f *Fuser, d *Desquasher, cycles [][]event.Record) *check
 }
 
 func countingCommit(seq uint64) event.Record {
-	return event.Record{Seq: seq, Core: 0, Ev: &event.InstrCommit{
+	return event.RecordOf(seq, 0, countingCommitEvent(seq))
+}
+
+func countingCommitEvent(seq uint64) *event.InstrCommit {
+	return &event.InstrCommit{
 		PC:    mem.RAMBase + (seq-1)*4,
 		Instr: isa.MustEncode(isa.Inst{Op: isa.OpADDI, Rd: 1, Rs1: 1, Imm: 1}),
 		Flags: event.CommitRfWen, Wdest: 1, Wdata: seq,
-	}}
+	}
 }
 
 func TestFusedWindowStepsREF(t *testing.T) {
@@ -81,8 +85,9 @@ func TestFusedWindowStepsREF(t *testing.T) {
 
 func TestFusedDetectsWrongPCDigest(t *testing.T) {
 	f, d, _ := desqHarness(t, 64)
-	bad := countingCommit(2)
-	bad.Ev.(*event.InstrCommit).PC += 4 // DUT claims a different PC
+	ev := countingCommitEvent(2)
+	ev.PC += 4 // DUT claims a different PC
+	bad := event.RecordOf(2, 0, ev)
 	m := feed(t, f, d, [][]event.Record{{countingCommit(1), bad, countingCommit(3), countingCommit(4)}})
 	if m == nil || !m.Fused {
 		t.Fatalf("PC digest divergence not flagged as fused mismatch: %v", m)
@@ -91,8 +96,9 @@ func TestFusedDetectsWrongPCDigest(t *testing.T) {
 
 func TestFusedDetectsWrongWDigest(t *testing.T) {
 	f, d, _ := desqHarness(t, 64)
-	bad := countingCommit(3)
-	bad.Ev.(*event.InstrCommit).Wdata ^= 8
+	ev := countingCommitEvent(3)
+	ev.Wdata ^= 8
+	bad := event.RecordOf(3, 0, ev)
 	m := feed(t, f, d, [][]event.Record{{countingCommit(1), countingCommit(2), bad, countingCommit(4)}})
 	if m == nil || !m.Fused {
 		t.Fatalf("writeback digest divergence not flagged: %v", m)
@@ -102,7 +108,7 @@ func TestFusedDetectsWrongWDigest(t *testing.T) {
 func TestDigestCountMismatch(t *testing.T) {
 	f, d, _ := desqHarness(t, 64)
 	// Inject an extra derivable event the REF will not reproduce.
-	extra := event.Record{Seq: 2, Core: 0, Ev: &event.Load{PAddr: 0x1000, Data: 1}}
+	extra := event.RecordOf(2, 0, &event.Load{PAddr: 0x1000, Data: 1})
 	m := feed(t, f, d, [][]event.Record{
 		{countingCommit(1), countingCommit(2), extra, countingCommit(3), countingCommit(4)},
 	})

@@ -64,11 +64,6 @@ func (s Stats) FusionRatio() float64 {
 	return float64(s.FusedCommits) / float64(s.Windows)
 }
 
-type pendSnap struct {
-	ev  event.Event
-	seq uint64
-}
-
 // Fuser is the per-core hardware-side fusion unit.
 type Fuser struct {
 	Cfg   Config
@@ -80,12 +75,28 @@ type Fuser struct {
 	tokenSet   bool
 	dig        derive.Digest
 
-	pendState map[event.Kind]pendSnap
-	stateAge  int
-	lastSent  map[event.Kind]event.Event
+	// Per-kind state snapshots, owned copies: the latest one not yet
+	// transmitted, and the last transmitted one (the differencing base,
+	// nil until the kind is first sent).
+	pend     [event.NumKinds]pendSnap
+	npend    int
+	stateAge int
+	lastSent [event.NumKinds][]byte
 
 	lastSkipSeq uint64
 	haveSkip    bool
+
+	// out and buf back the items a Cycle or Flush call returns — buf holds
+	// their payloads — and are reused by the next call.
+	out []wire.Item
+	buf []byte
+}
+
+// pendSnap is a pending state snapshot: its encoding and order tag.
+type pendSnap struct {
+	data []byte
+	seq  uint64
+	ok   bool
 }
 
 // NewFuser builds a fusion unit for one core.
@@ -96,11 +107,7 @@ func NewFuser(cfg Config, core uint8) *Fuser {
 	if cfg.StateFlushAge <= 0 {
 		cfg.StateFlushAge = 64
 	}
-	return &Fuser{
-		Cfg: cfg, Core: core,
-		pendState: make(map[event.Kind]pendSnap),
-		lastSent:  make(map[event.Kind]event.Event),
-	}
+	return &Fuser{Cfg: cfg, Core: core}
 }
 
 // stateKind reports whether k is an architectural-state snapshot kind.
@@ -122,15 +129,16 @@ func taggedKind(k event.Kind) bool {
 }
 
 // Cycle processes one cycle's records for this core (with their replay
-// tokens) and returns the wire items to transmit this cycle.
+// tokens) and returns the wire items to transmit this cycle. The items are
+// valid until the next Cycle or Flush call and while recs are: a raw item's
+// payload is its record's encoding.
 func (f *Fuser) Cycle(recs []event.Record, tokens []uint64) []wire.Item {
-	var out []wire.Item
+	f.out, f.buf = f.out[:0], f.buf[:0]
 	slot := uint8(0)
 	wantFlush := false
 
 	for i, rec := range recs {
-		ev := rec.Ev
-		k := ev.Kind()
+		k := rec.Kind
 		if k == event.KindInstrCommit {
 			slot++
 		}
@@ -141,13 +149,16 @@ func (f *Fuser) Cycle(recs []event.Record, tokens []uint64) []wire.Item {
 
 		switch {
 		case k == event.KindInstrCommit:
-			ic := ev.(*event.InstrCommit)
+			var ic event.InstrCommit
+			// Monitor records carry their kind's wire size, so the decode
+			// cannot fail.
+			_, _ = ic.DecodeFrom(rec.Data)
 			if ic.Flags&event.CommitSkip != 0 {
 				// MMIO instruction: NDE — ahead with a pre-apply tag.
 				f.lastSkipSeq, f.haveSkip = rec.Seq, true
-				out = f.emitNDE(out, slot, rec.Seq-1, ev)
+				f.emitNDE(slot, rec.Seq-1, rec)
 				if f.Cfg.CoupleOrder {
-					out = f.breakWindow(out, slot)
+					f.breakWindow(slot)
 				}
 				continue
 			}
@@ -161,105 +172,118 @@ func (f *Fuser) Cycle(recs []event.Record, tokens []uint64) []wire.Item {
 				wantFlush = true
 			}
 
-		case event.IsNDE(ev):
-			out = f.emitNDE(out, slot, rec.Seq, ev)
+		case event.IsNDEEncoding(k, rec.Data):
+			f.emitNDE(slot, rec.Seq, rec)
 			if f.Cfg.CoupleOrder {
-				out = f.breakWindow(out, slot)
+				f.breakWindow(slot)
 			}
 
 		case stateKind(k):
-			f.pendState[k] = pendSnap{ev: ev, seq: rec.Seq}
+			p := &f.pend[k]
+			if !p.ok {
+				f.npend++
+			}
+			p.data, p.seq, p.ok = append(p.data[:0], rec.Data...), rec.Seq, true
 
 		case taggedKind(k):
-			out = f.emitNDE(out, slot, rec.Seq, ev)
+			f.emitNDE(slot, rec.Seq, rec)
 
 		case k == event.KindTrap:
 			wantFlush = true
-			out = append(out, wire.RawItem(f.Core, slot, ev))
+			f.out = append(f.out, wire.Item{Type: wire.TypeRawBase + uint8(k), Core: f.Core, Slot: slot, Payload: rec.Data})
 
 		default:
 			// Derivable event: fold into the window digest unless it
 			// belongs to a skipped (MMIO) instruction.
 			if f.haveSkip && rec.Seq == f.lastSkipSeq {
-				out = f.emitNDE(out, slot, rec.Seq, ev)
+				f.emitNDE(slot, rec.Seq, rec)
 				continue
 			}
-			f.dig.Add(ev)
+			f.dig.Add(k, rec.Data)
 		}
 	}
 
 	if wantFlush && f.windowOpen {
-		out = f.flushWindow(out, 250)
+		f.flushWindow(250)
 	}
 	// State differencing runs on its own cadence, decoupled from window
 	// flushes, so fusion policy does not change snapshot traffic.
 	f.stateAge++
-	if len(f.pendState) > 0 && f.stateAge >= f.Cfg.StateFlushAge {
-		out = f.flushState(out, 251)
+	if f.npend > 0 && f.stateAge >= f.Cfg.StateFlushAge {
+		f.flushState(251)
 		f.stateAge = 0
 	}
-	return out
+	return f.out
 }
 
-// Flush closes the window and all pending state at end of run.
+// Flush closes the window and all pending state at end of run. The items
+// are valid until the next Cycle or Flush call.
 func (f *Fuser) Flush() []wire.Item {
-	var out []wire.Item
+	f.out, f.buf = f.out[:0], f.buf[:0]
 	if f.windowOpen {
-		out = f.flushWindow(out, 250)
+		f.flushWindow(250)
 	}
-	if len(f.pendState) > 0 {
-		out = f.flushState(out, 251)
+	if f.npend > 0 {
+		f.flushState(251)
 	}
-	return out
+	return f.out
 }
 
-func (f *Fuser) emitNDE(out []wire.Item, slot uint8, tag uint64, ev event.Event) []wire.Item {
+// emit adopts payload — f.buf extended by one item payload — as the next
+// item.
+func (f *Fuser) emit(typ, slot uint8, payload []byte) {
+	start := len(f.buf)
+	f.buf = payload
+	f.out = append(f.out, wire.Item{Type: typ, Core: f.Core, Slot: slot, Payload: payload[start:len(payload):len(payload)]})
+}
+
+func (f *Fuser) emitNDE(slot uint8, tag uint64, rec event.Record) {
 	f.Stats.NDEsAhead++
-	return append(out, wire.NDEItem(f.Core, slot, tag, ev))
+	f.emit(wire.TypeNDEBase+uint8(rec.Kind), slot, wire.AppendNDE(f.buf, tag, rec.Data))
 }
 
 // breakWindow implements order-coupled fusion: transmit the fused-so-far
 // window immediately when an NDE appears.
-func (f *Fuser) breakWindow(out []wire.Item, slot uint8) []wire.Item {
+func (f *Fuser) breakWindow(slot uint8) {
 	if !f.windowOpen {
-		return out
+		return
 	}
 	f.Stats.Breaks++
-	return f.flushWindow(out, slot)
+	f.flushWindow(slot)
 }
 
-func (f *Fuser) flushWindow(out []wire.Item, slot uint8) []wire.Item {
+func (f *Fuser) flushWindow(slot uint8) {
 	f.Stats.Windows++
 	f.Stats.FusedCommits += f.fc.Count
-	out = append(out, wire.FusedItem(f.Core, slot, f.fc))
-	out = append(out, wire.DigestItem(f.Core, slot, f.dig.Count, f.dig.Sum))
+	f.emit(wire.TypeFused, slot, wire.AppendFused(f.buf, f.fc))
+	f.emit(wire.TypeDigest, slot, wire.AppendDigest(f.buf, f.dig.Count, f.dig.Sum))
 	f.fc = wire.FusedCommit{}
 	f.dig = derive.Digest{}
 	f.windowOpen, f.tokenSet = false, false
-	return out
 }
 
 // flushState transmits the pending state snapshots: differenced when a
-// previous instance exists, whole otherwise, always with an order tag.
-func (f *Fuser) flushState(out []wire.Item, slot uint8) []wire.Item {
+// previous instance exists, whole otherwise, always with an order tag. The
+// transmitted snapshot becomes its kind's differencing base.
+func (f *Fuser) flushState(slot uint8) {
 	for _, k := range orderedStateKinds {
-		ps, ok := f.pendState[k]
-		if !ok {
+		p := &f.pend[k]
+		if !p.ok {
 			continue
 		}
-		if prev, sent := f.lastSent[k]; sent {
-			it := wire.DiffItem(f.Core, slot, ps.seq, prev, ps.ev)
+		if prev := f.lastSent[k]; prev != nil {
+			start := len(f.buf)
+			f.emit(wire.TypeDiffBase+uint8(k), slot, wire.AppendDiff(f.buf, p.seq, prev, p.data))
 			f.Stats.Diffs++
-			f.Stats.DiffBytes += uint64(len(it.Payload))
-			out = append(out, it)
+			f.Stats.DiffBytes += uint64(len(f.buf) - start)
 		} else {
 			f.Stats.RawState++
-			out = append(out, wire.NDEItem(f.Core, slot, ps.seq, ps.ev))
+			f.emit(wire.TypeNDEBase+uint8(k), slot, wire.AppendNDE(f.buf, p.seq, p.data))
 		}
-		f.lastSent[k] = ps.ev
-		delete(f.pendState, k)
+		f.lastSent[k], p.data = p.data, f.lastSent[k]
+		p.ok = false
+		f.npend--
 	}
-	return out
 }
 
 // orderedStateKinds lists snapshot kinds in canonical flush order.

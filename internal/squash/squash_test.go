@@ -4,14 +4,17 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/arch"
+	"repro/internal/dut"
 	"repro/internal/event"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 func commit(seq uint64, pc uint64) event.Record {
-	return event.Record{Seq: seq, Core: 0, Ev: &event.InstrCommit{
+	return event.RecordOf(seq, 0, &event.InstrCommit{
 		PC: pc, Flags: event.CommitRfWen, Wdest: 1, Wdata: seq,
-	}}
+	})
 }
 
 func tokens(n int, start uint64) []uint64 {
@@ -68,7 +71,7 @@ func TestNDEsGoAheadWithoutBreakingFusion(t *testing.T) {
 	f := NewFuser(Config{MaxFuse: 100, StateFlushAge: 1000}, 0)
 	recs := []event.Record{
 		commit(1, 0x100),
-		{Seq: 1, Core: 0, Ev: &event.Interrupt{Cause: 7, PC: 0x104}},
+		event.RecordOf(1, 0, &event.Interrupt{Cause: 7, PC: 0x104}),
 		commit(2, 0x200),
 	}
 	out := f.Cycle(recs, tokens(len(recs), 0))
@@ -76,13 +79,12 @@ func TestNDEsGoAheadWithoutBreakingFusion(t *testing.T) {
 	for _, it := range out {
 		if it.IsNDE() {
 			ndes++
-			ev := new(event.Interrupt)
-			tag, err := wire.DecodeNDE(it, ev)
+			tag, _, err := wire.SplitNDE(it)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ev.Kind() != event.KindInterrupt || tag != 1 {
-				t.Errorf("NDE = %v tag %d", ev.Kind(), tag)
+			if k, _ := it.Kind(); k != event.KindInterrupt || tag != 1 {
+				t.Errorf("NDE = %v tag %d", k, tag)
 			}
 		}
 		if it.IsFused() {
@@ -112,14 +114,14 @@ func TestNDEsGoAheadWithoutBreakingFusion(t *testing.T) {
 
 func TestSkippedCommitGetsPreApplyTag(t *testing.T) {
 	f := NewFuser(DefaultConfig(), 0)
-	mmio := event.Record{Seq: 5, Core: 0, Ev: &event.InstrCommit{
+	mmio := event.RecordOf(5, 0, &event.InstrCommit{
 		PC: 0x500, Flags: event.CommitSkip | event.CommitRfWen, Wdest: 3, Wdata: 9,
-	}}
+	})
 	out := f.Cycle([]event.Record{mmio}, tokens(1, 0))
 	if len(out) != 1 || !out[0].IsNDE() {
 		t.Fatalf("skip commit items = %v", out)
 	}
-	tag, err := wire.DecodeNDE(out[0], new(event.InstrCommit))
+	tag, _, err := wire.SplitNDE(out[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,19 +135,19 @@ func TestStateDifferencingChain(t *testing.T) {
 	s1 := &event.CSRState{Mstatus: 0x8, Mcycle: 1}
 	s2 := &event.CSRState{Mstatus: 0x8, Mcycle: 2}
 
-	out1 := f.Cycle([]event.Record{{Seq: 1, Ev: s1}}, tokens(1, 0))
+	out1 := f.Cycle([]event.Record{event.RecordOf(1, 0, s1)}, tokens(1, 0))
 	if len(out1) != 1 || !out1[0].IsNDE() {
 		t.Fatalf("first snapshot should be a whole tagged event, got %v", out1)
 	}
-	out2 := f.Cycle([]event.Record{{Seq: 2, Ev: s2}}, tokens(1, 1))
+	out2 := f.Cycle([]event.Record{event.RecordOf(2, 0, s2)}, tokens(1, 1))
 	if len(out2) != 1 || out2[0].Type < wire.TypeDiffBase {
 		t.Fatalf("second snapshot should be a diff, got %v", out2)
 	}
-	ev := new(event.CSRState)
-	tag, err := wire.DecodeDiff(out2[0], s1, ev)
+	tag, enc, err := wire.ApplyDiff(nil, out2[0], event.EncodeValue(s1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev, _ := event.Decode(event.KindCSRState, enc)
 	if tag != 2 || !reflect.DeepEqual(ev, s2) {
 		t.Errorf("diff completion: tag=%d", tag)
 	}
@@ -195,5 +197,39 @@ func TestStartTokenTracksWindow(t *testing.T) {
 				t.Errorf("second window start token = %d, want 90", fc.StartToken)
 			}
 		}
+	}
+}
+
+// TestAllocBudgetFuserCycle: once its per-kind snapshot buffers and output
+// arena have grown, fusing a monitor cycle allocates nothing.
+func TestAllocBudgetFuserCycle(t *testing.T) {
+	cfg := dut.XiangShanDefault()
+	p := workload.LinuxBoot()
+	p.TargetInstrs = 20_000
+	prog := workload.Generate(p, 1, 1)
+	d := dut.New(cfg, prog.Image, prog.Entries, arch.Hooks{})
+	var cycles [][]event.Record
+	for done := false; !done && len(cycles) < 6_000; {
+		var recs []event.Record
+		recs, done = d.StepCycle()
+		cp := make([]event.Record, len(recs))
+		for i, r := range recs {
+			cp[i] = r.Clone()
+		}
+		cycles = append(cycles, cp)
+	}
+	f := NewFuser(DefaultConfig(), 0)
+	toks := make([]uint64, 1024)
+	i := 0
+	step := func() {
+		recs := cycles[i%len(cycles)]
+		i++
+		f.Cycle(recs, toks[:len(recs)])
+	}
+	for i < len(cycles) {
+		step()
+	}
+	if n := testing.AllocsPerRun(len(cycles), step); n != 0 {
+		t.Errorf("Fuser.Cycle allocates %.3f/cycle once warm, budget 0", n)
 	}
 }

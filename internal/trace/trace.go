@@ -28,11 +28,10 @@ const version = 1
 
 // Writer dumps per-cycle record batches.
 type Writer struct {
-	w       *bufio.Writer
-	wrote   bool
-	scratch []byte // reused payload encoding buffer
-	Cycles  uint64
-	Events  uint64
+	w      *bufio.Writer
+	wrote  bool
+	Cycles uint64
+	Events uint64
 }
 
 // NewWriter starts a trace on w.
@@ -62,14 +61,13 @@ func (t *Writer) WriteCycle(cycle uint64, recs []event.Record) error {
 	}
 	for _, rec := range recs {
 		var rh [12]byte
-		rh[0] = uint8(rec.Ev.Kind())
+		rh[0] = uint8(rec.Kind)
 		rh[1] = rec.Core
 		binary.LittleEndian.PutUint64(rh[4:], rec.Seq)
 		if _, err := t.w.Write(rh[:]); err != nil {
 			return err
 		}
-		t.scratch = rec.Ev.AppendTo(t.scratch[:0])
-		if _, err := t.w.Write(t.scratch); err != nil {
+		if _, err := t.w.Write(rec.Data); err != nil {
 			return err
 		}
 		t.Events++
@@ -114,6 +112,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 }
 
 // ReadCycle returns the next cycle's records. io.EOF signals a clean end.
+// The records own their encodings: each call allocates fresh storage.
 func (t *Reader) ReadCycle() (cycle uint64, recs []event.Record, err error) {
 	if t.done {
 		return 0, nil, io.EOF
@@ -129,6 +128,7 @@ func (t *Reader) ReadCycle() (cycle uint64, recs []event.Record, err error) {
 	}
 	count := binary.LittleEndian.Uint32(hdr[8:])
 	recs = make([]event.Record, 0, count)
+	var arena []byte
 	for i := uint32(0); i < count; i++ {
 		var rh [12]byte
 		if _, err := io.ReadFull(t.r, rh[:]); err != nil {
@@ -138,18 +138,14 @@ func (t *Reader) ReadCycle() (cycle uint64, recs []event.Record, err error) {
 		if k >= event.NumKinds {
 			return 0, nil, fmt.Errorf("trace: bad kind %d", rh[0])
 		}
-		buf := event.GetBuf(event.SizeOf(k))[:event.SizeOf(k)]
-		if _, err := io.ReadFull(t.r, buf); err != nil {
-			event.PutBuf(buf)
+		start := len(arena)
+		arena = append(arena, make([]byte, event.SizeOf(k))...)
+		data := arena[start:len(arena):len(arena)]
+		if _, err := io.ReadFull(t.r, data); err != nil {
 			return 0, nil, fmt.Errorf("trace: truncated payload: %w", err)
 		}
-		ev, err := event.Decode(k, buf) // copies buf into the fresh event
-		event.PutBuf(buf)
-		if err != nil {
-			return 0, nil, err
-		}
 		recs = append(recs, event.Record{
-			Seq: binary.LittleEndian.Uint64(rh[4:]), Core: rh[1], Ev: ev,
+			Seq: binary.LittleEndian.Uint64(rh[4:]), Core: rh[1], Kind: k, Data: data,
 		})
 		t.Events++
 	}

@@ -21,10 +21,10 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := [][]event.Record{
-		{{Seq: 1, Core: 0, Ev: &event.InstrCommit{PC: 0x80000000, Wdata: 7}}},
+		{event.RecordOf(1, 0, &event.InstrCommit{PC: 0x80000000, Wdata: 7})},
 		{
-			{Seq: 2, Core: 1, Ev: &event.Load{PAddr: 0x1000, Data: 42}},
-			{Seq: 2, Core: 1, Ev: &event.ArchIntRegState{GPR: [32]uint64{5: 99}}},
+			event.RecordOf(2, 1, &event.Load{PAddr: 0x1000, Data: 42}),
+			event.RecordOf(2, 1, &event.ArchIntRegState{GPR: [32]uint64{5: 99}}),
 		},
 	}
 	for i, recs := range want {
@@ -50,7 +50,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 		for j := range recs {
 			if recs[j].Seq != wantRecs[j].Seq || recs[j].Core != wantRecs[j].Core ||
-				!reflect.DeepEqual(recs[j].Ev, wantRecs[j].Ev) {
+				!reflect.DeepEqual(recs[j], wantRecs[j]) {
 				t.Fatalf("cycle %d record %d mismatch", i, j)
 			}
 		}

@@ -286,7 +286,8 @@ func TestResumeDeliversLostFinalVerdict(t *testing.T) {
 	j := faultnet.NewJournal(8)
 	// Write index 6 = Hello + 5 data frames + the End frame; the oversized
 	// offset lets the whole End frame through before the close, so the
-	// server completes the session while its Done write hits a dead socket.
+	// server completes the session, and the Reset drops the Done it sends
+	// back however fast it arrives.
 	dial, dials := faultyFirstDial(faultnet.Plan{
 		Seed:   8,
 		Script: []faultnet.Op{{Index: 6, Kind: faultnet.Reset, Offset: 1 << 16}},

@@ -28,90 +28,69 @@ func DiffItem(core, slot uint8, tag uint64, prev, ev event.Event) Item {
 	if prev == nil || prev.Kind() != k {
 		panic("wire: DiffItem base/event kind mismatch")
 	}
-	oldB := prev.AppendTo(event.GetBuf(prev.EncodedSize()))
-	newB := ev.AppendTo(event.GetBuf(ev.EncodedSize()))
-	nWords, maskWords := diffWords(k)
-
-	// First pass counts changed words so the payload allocates exact-size;
-	// second pass writes masks in place and appends the changed words.
-	changed := 0
-	for w := 0; w < nWords; w++ {
-		if binary.LittleEndian.Uint64(oldB[w*8:]) != binary.LittleEndian.Uint64(newB[w*8:]) {
-			changed++
-		}
-	}
-	p := make([]byte, 8+8*maskWords, 8+8*(maskWords+changed))
-	binary.LittleEndian.PutUint64(p, tag)
-	for w := 0; w < nWords; w++ {
-		nv := binary.LittleEndian.Uint64(newB[w*8:])
-		if binary.LittleEndian.Uint64(oldB[w*8:]) != nv {
-			mo := 8 + (w/64)*8
-			binary.LittleEndian.PutUint64(p[mo:], binary.LittleEndian.Uint64(p[mo:])|1<<(w%64))
-			p = binary.LittleEndian.AppendUint64(p, nv)
-		}
-	}
-	event.PutBuf(oldB)
-	event.PutBuf(newB)
+	p := AppendDiff(nil, tag, event.EncodeValue(prev), event.EncodeValue(ev))
 	return Item{Type: TypeDiffBase + uint8(k), Core: core, Slot: slot, Payload: p}
 }
 
-// DiffSize returns the wire payload size DiffItem would produce without
-// building it (for fusion-benefit accounting).
-func DiffSize(prev, ev event.Event) int {
-	k := ev.Kind()
-	oldB := prev.AppendTo(event.GetBuf(prev.EncodedSize()))
-	newB := ev.AppendTo(event.GetBuf(ev.EncodedSize()))
-	nWords, maskWords := diffWords(k)
-	n := 0
+// AppendDiff appends the diff item payload of cur against prev — two
+// encodings of the same kind — to dst: the tag, the changed-word bitmask,
+// then each changed 64-bit word of cur.
+func AppendDiff(dst []byte, tag uint64, prev, cur []byte) []byte {
+	if len(prev) != len(cur) {
+		panic("wire: AppendDiff base/event size mismatch")
+	}
+	nWords := len(cur) / 8
+	maskWords := (nWords + 63) / 64
+	dst = binary.LittleEndian.AppendUint64(dst, tag)
+	masks := len(dst)
+	for w := 0; w < maskWords; w++ {
+		dst = binary.LittleEndian.AppendUint64(dst, 0)
+	}
 	for w := 0; w < nWords; w++ {
-		if binary.LittleEndian.Uint64(oldB[w*8:]) != binary.LittleEndian.Uint64(newB[w*8:]) {
-			n++
+		nv := binary.LittleEndian.Uint64(cur[w*8:])
+		if binary.LittleEndian.Uint64(prev[w*8:]) != nv {
+			mo := masks + (w/64)*8
+			binary.LittleEndian.PutUint64(dst[mo:], binary.LittleEndian.Uint64(dst[mo:])|1<<(w%64))
+			dst = binary.LittleEndian.AppendUint64(dst, nv)
 		}
 	}
-	event.PutBuf(oldB)
-	event.PutBuf(newB)
-	return 8 + 8*(maskWords+n)
+	return dst
 }
 
-// DecodeDiff completes a diff item using the previous instance of the same
-// kind, decoding the reconstructed event into dst (a value of that kind,
-// owned by the caller, not prev) and returning the order tag.
-func DecodeDiff(it Item, prev, dst event.Event) (tag uint64, err error) {
+// ApplyDiff completes a diff item against prev, the previous encoding of the
+// same kind, appending the reconstructed encoding to dst and returning it
+// with the item's order tag.
+func ApplyDiff(dst []byte, it Item, prev []byte) (tag uint64, out []byte, err error) {
 	k, ok := it.Kind()
 	if !ok || it.Type < TypeDiffBase || it.Type >= TypeInvalid {
-		return 0, fmt.Errorf("wire: item type %d is not a diff", it.Type)
+		return 0, dst, fmt.Errorf("wire: item type %d is not a diff", it.Type)
 	}
-	if prev == nil || prev.Kind() != k {
-		return 0, fmt.Errorf("wire: diff of %v lacks matching base", k)
+	if len(prev) != event.SizeOf(k) {
+		return 0, dst, fmt.Errorf("wire: diff of %v lacks matching base", k)
 	}
 	nWords, maskWords := diffWords(k)
 	if len(it.Payload) < 8+maskWords*8 {
-		return 0, fmt.Errorf("wire: short diff payload for %v", k)
+		return 0, dst, fmt.Errorf("wire: short diff payload for %v", k)
 	}
 	tag = binary.LittleEndian.Uint64(it.Payload)
 	body := it.Payload[8:]
-	// Pooled scratch holds the reconstructed encoding; decoding copies it
-	// into dst, so the scratch is safe to recycle after.
-	buf := prev.AppendTo(event.GetBuf(prev.EncodedSize()))
+	start := len(dst)
+	out = append(dst, prev...)
 	pos := maskWords * 8
 	for w := 0; w < nWords; w++ {
 		m := binary.LittleEndian.Uint64(body[(w/64)*8:])
 		if m&(1<<(w%64)) != 0 {
 			if pos+8 > len(body) {
-				event.PutBuf(buf)
-				return 0, fmt.Errorf("wire: diff payload truncated for %v", k)
+				return 0, dst, fmt.Errorf("wire: diff payload truncated for %v", k)
 			}
-			copy(buf[w*8:], body[pos:pos+8])
+			copy(out[start+w*8:], body[pos:pos+8])
 			pos += 8
 		}
 	}
 	if pos != len(body) {
-		event.PutBuf(buf)
-		return 0, fmt.Errorf("wire: diff payload for %v has %d trailing bytes", k, len(body)-pos)
+		return 0, dst, fmt.Errorf("wire: diff payload for %v has %d trailing bytes", k, len(body)-pos)
 	}
-	err = decodeInto(k, buf, dst)
-	event.PutBuf(buf)
-	return tag, err
+	return tag, out, nil
 }
 
 // ParseDiffLen scans a diff payload prefix for kind k starting at buf and

@@ -108,40 +108,27 @@ func NDEItem(core, slot uint8, seq uint64, ev event.Event) Item {
 	}
 }
 
-// DecodeRaw reconstructs a raw item's event.
-func DecodeRaw(it Item) (event.Event, error) {
-	k, ok := it.Kind()
-	if !ok || it.Type >= TypeNDEBase {
-		return nil, fmt.Errorf("wire: item type %d is not raw", it.Type)
-	}
-	return event.Decode(k, it.Payload)
+// AppendNDE appends an NDE item payload — the order tag, then the event
+// encoding enc — to dst.
+func AppendNDE(dst []byte, tag uint64, enc []byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(dst, tag), enc...)
 }
 
-// DecodeNDE decodes an NDE item's event into dst, which must be a value of
-// the item's kind, and returns the item's order tag. It allocates nothing:
-// the caller owns dst and may reuse it once done with the event.
-func DecodeNDE(it Item, dst event.Event) (seq uint64, err error) {
+// SplitNDE returns an NDE item's order tag and event encoding, which aliases
+// the payload. The encoding is checked to be exactly the kind's wire size.
+func SplitNDE(it Item) (tag uint64, enc []byte, err error) {
 	if !it.IsNDE() {
-		return 0, fmt.Errorf("wire: item type %d is not an NDE", it.Type)
+		return 0, nil, fmt.Errorf("wire: item type %d is not an NDE", it.Type)
 	}
 	if len(it.Payload) < 8 {
-		return 0, fmt.Errorf("wire: short NDE payload")
+		return 0, nil, fmt.Errorf("wire: short NDE payload")
 	}
 	k, _ := it.Kind()
-	return binary.LittleEndian.Uint64(it.Payload), decodeInto(k, it.Payload[8:], dst)
-}
-
-// decodeInto is event.Decode into a caller-owned value: data must be
-// exactly the wire size of k, and dst of kind k.
-func decodeInto(k event.Kind, data []byte, dst event.Event) error {
-	if dst.Kind() != k {
-		return fmt.Errorf("wire: decoding %v into a %v", k, dst.Kind())
+	enc = it.Payload[8:]
+	if len(enc) != event.SizeOf(k) {
+		return 0, nil, &event.DecodeError{Kind: k, Len: len(enc), Err: event.ErrPayloadSize}
 	}
-	if len(data) != event.SizeOf(k) {
-		return &event.DecodeError{Kind: k, Len: len(data), Err: event.ErrPayloadSize}
-	}
-	_, err := dst.DecodeFrom(data)
-	return err
+	return binary.LittleEndian.Uint64(it.Payload), enc, nil
 }
 
 // FusedCommit summarizes a fused run of instruction commits (paper §4.3):
@@ -166,14 +153,15 @@ const FusedPayloadSize = 48
 
 // FusedItem encodes a fused commit summary.
 func FusedItem(core, slot uint8, fc FusedCommit) Item {
-	p := make([]byte, FusedPayloadSize)
-	binary.LittleEndian.PutUint64(p[0:], fc.LastSeq)
-	binary.LittleEndian.PutUint64(p[8:], fc.Count)
-	binary.LittleEndian.PutUint64(p[16:], fc.LastPC)
-	binary.LittleEndian.PutUint64(p[24:], fc.PCDigest)
-	binary.LittleEndian.PutUint64(p[32:], fc.WDigest)
-	binary.LittleEndian.PutUint64(p[40:], fc.StartToken)
-	return Item{Type: TypeFused, Core: core, Slot: slot, Payload: p}
+	return Item{Type: TypeFused, Core: core, Slot: slot, Payload: AppendFused(make([]byte, 0, FusedPayloadSize), fc)}
+}
+
+// AppendFused appends the FusedPayloadSize-byte encoding of fc to dst.
+func AppendFused(dst []byte, fc FusedCommit) []byte {
+	for _, v := range [...]uint64{fc.LastSeq, fc.Count, fc.LastPC, fc.PCDigest, fc.WDigest, fc.StartToken} {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	return dst
 }
 
 // DecodeFused reconstructs a fused commit summary.
@@ -195,10 +183,14 @@ func DecodeFused(it Item) (FusedCommit, error) {
 // hash of the derivable events the window fused away. The checker
 // recomputes the digest from reference-model execution and compares.
 func DigestItem(core, slot uint8, count uint32, sum uint64) Item {
-	p := make([]byte, 16)
-	binary.LittleEndian.PutUint32(p[0:], count)
-	binary.LittleEndian.PutUint64(p[8:], sum)
-	return Item{Type: TypeDigest, Core: core, Slot: slot, Payload: p}
+	return Item{Type: TypeDigest, Core: core, Slot: slot, Payload: AppendDigest(make([]byte, 0, 16), count, sum)}
+}
+
+// AppendDigest appends the 16-byte digest item payload to dst.
+func AppendDigest(dst []byte, count uint32, sum uint64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, count)
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
+	return binary.LittleEndian.AppendUint64(dst, sum)
 }
 
 // DecodeDigest reconstructs a digest item.
@@ -244,44 +236,45 @@ func (it Item) SortKey() uint32 {
 	return uint32(it.Core)<<16 | uint32(it.Slot)<<8 | uint32(p)
 }
 
-// FromRecords converts one cycle's monitor records into wire items,
+// FromRecords converts one cycle's monitor records into wire items (see
+// AppendItems).
+func FromRecords(cycle []event.Record) []Item {
+	return AppendItems(make([]Item, 0, len(cycle)), cycle)
+}
+
+// AppendItems appends one cycle's monitor records to dst as raw wire items,
 // assigning per-core commit slots. Events before a core's first commit of
 // the cycle get slot 0; events belonging to the i-th commit get slot i.
 //
-// All item payloads share one arena allocation sized from EncodedSize, so a
-// cycle costs two allocations regardless of event count. Each payload is a
-// capacity-clamped sub-slice, so an append on one cannot clobber the next.
-func FromRecords(cycle []event.Record) []Item {
-	total := 0
-	for _, rec := range cycle {
-		total += rec.Ev.EncodedSize()
-	}
-	arena := make([]byte, 0, total)
-	items := make([]Item, 0, len(cycle))
+// Each item's payload is its record's encoding, not a copy: the items are
+// valid exactly as long as the records are.
+func AppendItems(dst []Item, cycle []event.Record) []Item {
 	var slots [256]uint8
 	for _, rec := range cycle {
-		if rec.Ev.Kind() == event.KindInstrCommit {
+		if rec.Kind == event.KindInstrCommit {
 			slots[rec.Core]++
 		}
-		start := len(arena)
-		arena = rec.Ev.AppendTo(arena)
-		items = append(items, Item{
-			Type:    TypeRawBase + uint8(rec.Ev.Kind()),
+		dst = append(dst, Item{
+			Type:    TypeRawBase + uint8(rec.Kind),
 			Core:    rec.Core,
 			Slot:    slots[rec.Core],
-			Payload: arena[start:len(arena):len(arena)],
+			Payload: rec.Data,
 		})
 	}
-	return items
+	return dst
 }
 
-// ToRecord converts a raw item back into a checker-consumable record.
-// Sequence numbers are not carried by raw items (the checker reconstructs
-// order positionally); NDE items carry explicit tags.
+// ToRecord converts a raw item into a checker-consumable record whose
+// encoding is the item's payload. Sequence numbers are not carried by raw
+// items (the checker reconstructs order positionally); NDE items carry
+// explicit tags.
 func ToRecord(it Item) (event.Record, error) {
-	ev, err := DecodeRaw(it)
-	if err != nil {
-		return event.Record{}, err
+	if it.Type >= TypeNDEBase {
+		return event.Record{}, fmt.Errorf("wire: item type %d is not raw", it.Type)
 	}
-	return event.Record{Core: it.Core, Ev: ev}, nil
+	k := event.Kind(it.Type)
+	if len(it.Payload) != event.SizeOf(k) {
+		return event.Record{}, &event.DecodeError{Kind: k, Len: len(it.Payload), Err: event.ErrPayloadSize}
+	}
+	return event.Record{Core: it.Core, Kind: k, Data: it.Payload}, nil
 }

@@ -14,9 +14,13 @@ func TestRawItemRoundTrip(t *testing.T) {
 	if k, ok := it.Kind(); !ok || k != event.KindInstrCommit {
 		t.Fatalf("kind = %v %v", k, ok)
 	}
-	back, err := DecodeRaw(it)
+	rec, err := ToRecord(it)
 	if err != nil {
 		t.Fatal(err)
+	}
+	back, err := rec.Event()
+	if err != nil || rec.Core != 1 {
+		t.Fatal(err, rec.Core)
 	}
 	if !reflect.DeepEqual(ev, back) {
 		t.Error("raw round trip mismatch")
@@ -32,11 +36,11 @@ func TestNDEItemRoundTrip(t *testing.T) {
 	if !it.IsNDE() {
 		t.Fatal("not flagged NDE")
 	}
-	back := new(event.Interrupt)
-	seq, err := DecodeNDE(it, back)
+	seq, enc, err := SplitNDE(it)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back, _ := event.Decode(event.KindInterrupt, enc)
 	if seq != 99887 || !reflect.DeepEqual(ev, back) {
 		t.Errorf("NDE round trip: seq=%d", seq)
 	}
@@ -85,11 +89,14 @@ func TestDiffRoundTripAllSnapshotKinds(t *testing.T) {
 			if n, err := ParseDiffLen(k, it.Payload); err != nil || n != len(it.Payload) {
 				t.Fatalf("%v: ParseDiffLen = %d,%v want %d", k, n, err, len(it.Payload))
 			}
-			back := event.InfoOf(k).New()
-			tag, err := DecodeDiff(it, prev, back)
+			if got := AppendDiff(nil, 4242, event.EncodeValue(prev), event.EncodeValue(cur)); !reflect.DeepEqual(got, it.Payload) {
+				t.Fatalf("%v: AppendDiff on the encodings differs from DiffItem", k)
+			}
+			tag, enc, err := ApplyDiff(nil, it, event.EncodeValue(prev))
 			if err != nil {
 				t.Fatalf("%v: %v", k, err)
 			}
+			back, _ := event.Decode(k, enc)
 			if tag != 4242 {
 				t.Fatalf("%v: diff tag = %d", k, tag)
 			}
@@ -107,14 +114,11 @@ func TestDiffSavesBytesWhenUnchanged(t *testing.T) {
 	if len(it.Payload) >= event.SizeOf(event.KindCSRState) {
 		t.Errorf("diff (%dB) not smaller than raw (%dB)", len(it.Payload), event.SizeOf(event.KindCSRState))
 	}
-	if got := DiffSize(a, b); got != len(it.Payload) {
-		t.Errorf("DiffSize = %d, payload %d", got, len(it.Payload))
-	}
-	back := new(event.CSRState)
-	_, err := DecodeDiff(it, a, back)
-	if err != nil {
+	_, enc, err := ApplyDiff([]byte{0xEE}, it, event.EncodeValue(a))
+	if err != nil || enc[0] != 0xEE {
 		t.Fatal(err)
 	}
+	back, _ := event.Decode(event.KindCSRState, enc[1:])
 	if !reflect.DeepEqual(b, back) {
 		t.Error("completion mismatch")
 	}
@@ -122,12 +126,12 @@ func TestDiffSavesBytesWhenUnchanged(t *testing.T) {
 
 func TestFromRecordsSlots(t *testing.T) {
 	recs := []event.Record{
-		{Core: 0, Ev: &event.Interrupt{}},        // slot 0
-		{Core: 0, Ev: &event.InstrCommit{PC: 1}}, // slot 1
-		{Core: 0, Ev: &event.Load{PAddr: 8}},     // slot 1
-		{Core: 0, Ev: &event.InstrCommit{PC: 2}}, // slot 2
-		{Core: 1, Ev: &event.InstrCommit{PC: 3}}, // core1 slot 1
-		{Core: 0, Ev: &event.ArchIntRegState{}},  // core0 slot 2
+		event.RecordOf(0, 0, &event.Interrupt{}),        // slot 0
+		event.RecordOf(0, 0, &event.InstrCommit{PC: 1}), // slot 1
+		event.RecordOf(0, 0, &event.Load{PAddr: 8}),     // slot 1
+		event.RecordOf(0, 0, &event.InstrCommit{PC: 2}), // slot 2
+		event.RecordOf(0, 1, &event.InstrCommit{PC: 3}), // core1 slot 1
+		event.RecordOf(0, 0, &event.ArchIntRegState{}),  // core0 slot 2
 	}
 	// Note: core-interleaved input; slots are tracked per core.
 	items := FromRecords(recs)
@@ -143,16 +147,16 @@ func TestSortKeyRestoresOrder(t *testing.T) {
 	// A cycle's records in canonical order must be exactly re-sortable
 	// from (core, slot, priority).
 	recs := []event.Record{
-		{Core: 0, Ev: &event.Interrupt{}},
-		{Core: 0, Ev: &event.InstrCommit{PC: 1}},
-		{Core: 0, Ev: &event.Load{PAddr: 8}},
-		{Core: 0, Ev: &event.Refill{Addr: 64}},
-		{Core: 0, Ev: &event.InstrCommit{PC: 2}},
-		{Core: 0, Ev: &event.Store{Addr: 16}},
-		{Core: 0, Ev: &event.ArchIntRegState{}},
-		{Core: 0, Ev: &event.CSRState{}},
-		{Core: 1, Ev: &event.InstrCommit{PC: 9}},
-		{Core: 1, Ev: &event.ArchIntRegState{}},
+		event.RecordOf(0, 0, &event.Interrupt{}),
+		event.RecordOf(0, 0, &event.InstrCommit{PC: 1}),
+		event.RecordOf(0, 0, &event.Load{PAddr: 8}),
+		event.RecordOf(0, 0, &event.Refill{Addr: 64}),
+		event.RecordOf(0, 0, &event.InstrCommit{PC: 2}),
+		event.RecordOf(0, 0, &event.Store{Addr: 16}),
+		event.RecordOf(0, 0, &event.ArchIntRegState{}),
+		event.RecordOf(0, 0, &event.CSRState{}),
+		event.RecordOf(0, 1, &event.InstrCommit{PC: 9}),
+		event.RecordOf(0, 1, &event.ArchIntRegState{}),
 	}
 	items := FromRecords(recs)
 	for i := 1; i < len(items); i++ {

@@ -20,7 +20,9 @@ type (
 	TraceReader = trace.Reader
 	// Event is one verification event.
 	Event = event.Event
-	// EventRecord is an event with its order tag and core.
+	// EventRecord is one verification event as the monitor emits it: its
+	// kind and wire encoding, stamped with its core and order tag.
+	// EventRecord.Event decodes it.
 	EventRecord = event.Record
 	// EventKind identifies one of the 32 verification event types.
 	EventKind = event.Kind
