@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint fmt-check generate-check bench-codec fuzz-smoke bench-smoke bench-json bench-check fuzz-campaign integration cover ci
+.PHONY: build test race vet lint fmt-check generate-check alloc-budget fuzz-smoke bench-smoke bench-check fuzz-campaign integration cover ci
 
 build:
 	$(GO) build ./...
@@ -48,13 +48,12 @@ generate-check:
 	@git diff --exit-code -- internal/event/codec_gen.go || \
 		{ echo "codec_gen.go is stale: commit the output of 'go generate ./...'" >&2; exit 1; }
 
-# Codec/batch microbenchmarks plus the checked-in allocs/op budgets
-# (internal/event/testdata/alloc_budget.txt, internal/batch/testdata/...).
-bench-codec:
-	$(GO) test -run='^$$' -bench='BenchmarkCodecRoundTrip|BenchmarkBatchPack|BenchmarkBatchUnpack' \
-		-benchmem -benchtime=1000x ./internal/event ./internal/batch
-	$(GO) test -run='TestAllocBudget' -v ./internal/event ./internal/batch
-	$(GO) test -run='TestAllocBudget' -v ./internal/dut ./internal/replay ./internal/squash ./internal/cosim
+# Allocation budgets: every TestAllocBudget* in the module, each pinning a
+# hot path's allocs/op (or allocs/cycle) at a constant stated in its test.
+# Together with BENCHMARK.json's end-to-end bounds these are the performance
+# gates; every Benchmark* function still runs once under bench-smoke.
+alloc-budget:
+	$(GO) test -run='TestAllocBudget' -count=1 -v ./...
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=10s -run='^$$' ./internal/event
@@ -65,20 +64,6 @@ fuzz-smoke:
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# Perf trajectory gate (cmd/benchjson): snapshot the committed BENCH_*.json
-# baselines, regenerate them in place from fresh benchmark runs, and fail on
-# regressions beyond the thresholds (see DESIGN.md "Perf trajectory").
-# bench-out/ keeps both the snapshot and the fresh JSON; CI's bench-trajectory
-# job runs exactly this target and uploads bench-out/ as an artifact. To
-# accept a new performance level, commit the regenerated BENCH_*.json files.
-bench-json:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	rm -rf bench-out && mkdir -p bench-out/baseline
-	cp BENCH_*.json bench-out/baseline/
-	./bin/benchjson run -out .
-	cp BENCH_*.json bench-out/
-	./bin/benchjson gate -baseline bench-out/baseline -fresh .
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a module of its
 # own, outside the root ./..., so nothing above builds or runs it. Its tests
@@ -133,4 +118,4 @@ integration:
 cover:
 	./scripts/coverfloor.sh
 
-ci: build test race vet lint fmt-check generate-check bench-codec fuzz-smoke bench-smoke bench-json bench-check fuzz-campaign cover integration
+ci: build test race vet lint fmt-check generate-check alloc-budget fuzz-smoke bench-smoke bench-check fuzz-campaign cover integration

@@ -50,6 +50,60 @@ func TestALUBasics(t *testing.T) {
 	if s.GPR[6] != 5<<60 {
 		t.Errorf("slli = %#x", s.GPR[6])
 	}
+
+	// Signed shifts and compares on operands of mixed sign, with answers
+	// worked from the RISC-V unprivileged manual's RV64I chapter rather than
+	// from this package: SRA/SRAI shift in copies of bit 63, SRAW shifts
+	// bits 31:0 arithmetically and sign-extends the 32-bit result, and
+	// SLT/SLTI compare as two's complement where SLTU/SLTIU compare unsigned.
+	m = asm(t, []isa.Inst{
+		{Op: isa.OpADDI, Rd: 1, Rs1: 0, Imm: -16}, // x1 = -16
+		{Op: isa.OpADDI, Rd: 2, Rs1: 0, Imm: 2},   // x2 = 2
+		{Op: isa.OpADDI, Rd: 3, Rs1: 0, Imm: 1},
+		{Op: isa.OpSLLI, Rd: 3, Rs1: 3, Imm: 31},    // x3 = 0x8000_0000
+		{Op: isa.OpADDI, Rd: 4, Rs1: 0, Imm: 4},     // x4 = 4
+		{Op: isa.OpSRA, Rd: 10, Rs1: 1, Rs2: 2},     // -16 >> 2
+		{Op: isa.OpSRAI, Rd: 11, Rs1: 1, Imm: 2},    // -16 >> 2
+		{Op: isa.OpSRAI, Rd: 12, Rs1: 1, Imm: 63},   // sign fill
+		{Op: isa.OpSRL, Rd: 13, Rs1: 1, Rs2: 2},     // logical, for contrast
+		{Op: isa.OpSRAW, Rd: 14, Rs1: 1, Rs2: 2},    // low word -16 >> 2
+		{Op: isa.OpSRAW, Rd: 15, Rs1: 3, Rs2: 4},    // bit 31 set, bit 63 clear
+		{Op: isa.OpSRA, Rd: 16, Rs1: 3, Rs2: 4},     // same operand, 64-bit: positive
+		{Op: isa.OpSLT, Rd: 17, Rs1: 1, Rs2: 2},     // -16 < 2
+		{Op: isa.OpSLTU, Rd: 18, Rs1: 1, Rs2: 2},    // 2^64-16 < 2
+		{Op: isa.OpSLT, Rd: 19, Rs1: 2, Rs2: 1},     // 2 < -16
+		{Op: isa.OpSLTU, Rd: 20, Rs1: 2, Rs2: 1},    // 2 < 2^64-16
+		{Op: isa.OpSLTI, Rd: 21, Rs1: 1, Imm: 2},    // -16 < 2
+		{Op: isa.OpSLTIU, Rd: 22, Rs1: 1, Imm: 2},   // 2^64-16 < 2
+		{Op: isa.OpSLTI, Rd: 23, Rs1: 2, Imm: -16},  // 2 < -16
+		{Op: isa.OpSLTIU, Rd: 24, Rs1: 2, Imm: -16}, // 2 < 2^64-16 (imm sign-extends)
+	})
+	run(m, 20)
+	for _, c := range []struct {
+		name string
+		reg  int
+		want uint64
+	}{
+		{"sra -16,2", 10, 0xFFFF_FFFF_FFFF_FFFC},
+		{"srai -16,2", 11, 0xFFFF_FFFF_FFFF_FFFC},
+		{"srai -16,63", 12, 0xFFFF_FFFF_FFFF_FFFF},
+		{"srl -16,2", 13, 0x3FFF_FFFF_FFFF_FFFC},
+		{"sraw -16,2", 14, 0xFFFF_FFFF_FFFF_FFFC},
+		{"sraw 0x80000000,4", 15, 0xFFFF_FFFF_F800_0000},
+		{"sra 0x80000000,4", 16, 0x0800_0000},
+		{"slt -16,2", 17, 1},
+		{"sltu -16,2", 18, 0},
+		{"slt 2,-16", 19, 0},
+		{"sltu 2,-16", 20, 1},
+		{"slti -16,2", 21, 1},
+		{"sltiu -16,2", 22, 0},
+		{"slti 2,-16", 23, 0},
+		{"sltiu 2,-16", 24, 1},
+	} {
+		if got := m.State.GPR[c.reg]; got != c.want {
+			t.Errorf("%s = %#x, want %#x", c.name, got, c.want)
+		}
+	}
 }
 
 func TestX0IsHardwired(t *testing.T) {
@@ -94,8 +148,19 @@ func TestLoadStore(t *testing.T) {
 		{Op: isa.OpLB, Rd: 6, Rs1: 2, Imm: 3},             // sign extends
 		{Op: isa.OpSH, Rs1: 2, Rs2: 0, Imm: 0},            // clear low half
 		{Op: isa.OpLHU, Rd: 7, Rs1: 2, Imm: 0},
+		// Known answers from the RISC-V manual: LH and LB sign-extend
+		// bit 15 and bit 7, LHU and LBU zero-extend.
+		{Op: isa.OpADDI, Rd: 8, Rs1: 0, Imm: 1},
+		{Op: isa.OpSLLI, Rd: 8, Rs1: 8, Imm: 15}, // x8 = 0x8000
+		{Op: isa.OpSH, Rs1: 2, Rs2: 8, Imm: 8},   // [x2+8] = 0x8000
+		{Op: isa.OpLH, Rd: 9, Rs1: 2, Imm: 8},
+		{Op: isa.OpLHU, Rd: 10, Rs1: 2, Imm: 8},
+		{Op: isa.OpADDI, Rd: 11, Rs1: 0, Imm: 0x80}, // x11 = 0x80
+		{Op: isa.OpSB, Rs1: 2, Rs2: 11, Imm: 16},    // [x2+16] = 0x80
+		{Op: isa.OpLB, Rd: 12, Rs1: 2, Imm: 16},
+		{Op: isa.OpLBU, Rd: 13, Rs1: 2, Imm: 16},
 	})
-	exs := run(m, 10)
+	exs := run(m, 19)
 	s := &m.State
 	if s.GPR[4] != ^uint64(0) {
 		t.Errorf("lw = %#x", s.GPR[4])
@@ -108,6 +173,12 @@ func TestLoadStore(t *testing.T) {
 	}
 	if s.GPR[7] != 0 {
 		t.Errorf("lhu after sh = %#x", s.GPR[7])
+	}
+	if s.GPR[9] != 0xFFFF_FFFF_FFFF_8000 || s.GPR[10] != 0x8000 {
+		t.Errorf("lh, lhu of 0x8000 = %#x, %#x; want 0xffffffffffff8000, 0x8000", s.GPR[9], s.GPR[10])
+	}
+	if s.GPR[12] != 0xFFFF_FFFF_FFFF_FF80 || s.GPR[13] != 0x80 {
+		t.Errorf("lb, lbu of 0x80 = %#x, %#x; want 0xffffffffffffff80, 0x80", s.GPR[12], s.GPR[13])
 	}
 	if !exs[4].Mem || exs[4].IsLoad || exs[4].MemAddr != 0x80001000 {
 		t.Errorf("store exec record wrong: %+v", exs[4])

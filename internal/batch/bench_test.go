@@ -2,10 +2,6 @@ package batch
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/event"
@@ -44,24 +40,30 @@ func benchCycles(n int) [][]wire.Item {
 	return cycles
 }
 
-// BenchmarkBatchPack measures steady-state packing: one AddCycle per op,
-// closed packets released back to the buffer pool. This is the ≥10x
-// allocs/op headline number the ISSUE records in DESIGN.md.
-func BenchmarkBatchPack(b *testing.B) {
+// packCycle returns one steady-state AddCycle, closed packets released back
+// to the buffer pool: the op BenchmarkBatchPack times and
+// TestAllocBudgetBatchPack pins. One pass over the cycles first warms the
+// pool and the packer's scratch.
+func packCycle() func() {
 	cycles := benchCycles(256)
 	p := NewPacker(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	op := func() {
 		for _, pkt := range p.AddCycle(cycles[i%len(cycles)]) {
 			pkt.Release()
 		}
+		i++
 	}
+	for range cycles {
+		op()
+	}
+	return op
 }
 
-// BenchmarkBatchUnpack measures meta-guided unpacking with per-packet
-// payload arenas, releasing each packet buffer after parse.
-func BenchmarkBatchUnpack(b *testing.B) {
+// unpackPacket returns one steady-state AddPacket over a recorded stream:
+// the op BenchmarkBatchUnpack times and TestAllocBudgetBatchUnpack pins. One
+// pass over the packets first grows the unpacker's reused slices.
+func unpackPacket(tb testing.TB) func() {
 	cycles := benchCycles(256)
 	p := NewPacker(4096)
 	var pkts []Packet
@@ -70,46 +72,40 @@ func BenchmarkBatchUnpack(b *testing.B) {
 	}
 	pkts = append(pkts, p.Flush()...)
 	var u Unpacker
+	i := 0
+	op := func() {
+		if _, err := u.AddPacket(pkts[i%len(pkts)].Buf); err != nil {
+			tb.Fatal(err)
+		}
+		i++
+	}
+	for range pkts {
+		op()
+	}
+	return op
+}
+
+func BenchmarkBatchPack(b *testing.B) {
+	op := packCycle()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := u.AddPacket(pkts[i%len(pkts)].Buf); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
 }
 
-// TestAllocBudgetBatchPack enforces the checked-in allocs/op ceiling for
-// steady-state packing (see testdata/alloc_budget.txt; the pre-refactor
-// packer spent 14 allocs/op on this workload).
-func TestAllocBudgetBatchPack(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "alloc_budget.txt"))
-	if err != nil {
-		t.Fatalf("alloc budget missing: %v", err)
+func BenchmarkBatchUnpack(b *testing.B) {
+	op := unpackPacket(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
-	budget, err := strconv.ParseFloat(strings.TrimSpace(string(data)), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	cycles := benchCycles(256)
-	p := NewPacker(4096)
-	// Warm the buffer pool and the packer's scratch to measure steady state.
-	for _, c := range cycles {
-		for _, pkt := range p.AddCycle(c) {
-			pkt.Release()
-		}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		for _, pkt := range p.AddCycle(cycles[i%len(cycles)]) {
-			pkt.Release()
-		}
-		i++
-	})
-	if allocs > budget {
-		t.Fatalf("batch pack allocates %.2f/op, budget %s (testdata/alloc_budget.txt)",
-			allocs, strings.TrimSpace(string(data)))
+func TestAllocBudgetBatchPack(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, packCycle()); n > 0 {
+		t.Fatalf("batch pack allocates %.0f/op, budget 0", n)
 	}
 }
 
@@ -119,28 +115,7 @@ func TestAllocBudgetBatchPack(t *testing.T) {
 // read them asynchronously), so the arena stays; the item slice, the sort
 // and the pending group are reused.
 func TestAllocBudgetBatchUnpack(t *testing.T) {
-	const budget = 1.0
-	cycles := benchCycles(256)
-	p := NewPacker(4096)
-	var pkts []Packet
-	for _, c := range cycles {
-		pkts = append(pkts, p.AddCycle(c)...)
-	}
-	pkts = append(pkts, p.Flush()...)
-	var u Unpacker
-	for _, pkt := range pkts { // warm-up: grow the reused slices
-		if _, err := u.AddPacket(pkt.Buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := u.AddPacket(pkts[i%len(pkts)].Buf); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if allocs > budget {
-		t.Fatalf("batch unpack allocates %.2f/op, budget %.0f", allocs, budget)
+	if n := testing.AllocsPerRun(1000, unpackPacket(t)); n > 1 {
+		t.Fatalf("batch unpack allocates %.0f/op, budget 1", n)
 	}
 }

@@ -1,6 +1,7 @@
 package cosim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -69,9 +70,11 @@ func TestAllocBudgetCheckerSessionPacket(t *testing.T) {
 // nothing per cycle once the replay ring and the fusers' buffers have grown.
 // Before the monitor emitted bytes this measured 18 allocs/cycle on one core
 // and 36 on two. Stated ceiling: 0.01 allocs/cycle, which allows a rare late
-// ring growth.
+// ring growth. testing.AllocsPerRun truncates its average to an integer and
+// would pass anything below 1/cycle, so the test counts mallocs itself.
 func TestAllocBudgetHardwareSide(t *testing.T) {
-	const budget = 0.01
+	const budget, cycles = 0.01, 10_000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does
 	for _, d := range []dut.Config{dut.XiangShanDefault(), dut.XiangShanDefaultDual()} {
 		opt, _ := ParseConfig("EBINSD")
 		r, err := newRunner(Params{
@@ -94,8 +97,16 @@ func TestAllocBudgetHardwareSide(t *testing.T) {
 		if r.rbuf.Len() < r.rbuf.Cap {
 			t.Fatalf("warm-up buffered only %d records", r.rbuf.Len())
 		}
-		if n := testing.AllocsPerRun(10_000, step); n > budget {
-			t.Errorf("%s: hardware side allocates %.3f/cycle, budget %.2f", d.Name, n, budget)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < cycles; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		mallocs := after.Mallocs - before.Mallocs
+		t.Logf("%s: %d mallocs in %d cycles", d.Name, mallocs, cycles)
+		if rate := float64(mallocs) / cycles; rate > budget {
+			t.Errorf("%s: hardware side allocates %.4f/cycle, budget %.2f", d.Name, rate, budget)
 		}
 	}
 }

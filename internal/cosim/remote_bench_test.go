@@ -10,7 +10,8 @@ import (
 // benchRemoteLoopback measures a full networked verification session —
 // dial, handshake, framed data stream under the server's token window,
 // checking in the difftestd session, verdict — against a loopback Unix
-// socket. benchjson's remote area tracks it in BENCH_remote.json.
+// socket. BENCHMARK.json's linux_ebin_shm and fleet_ebin_routed workloads
+// gate the networked path end to end.
 func benchRemoteLoopback(b *testing.B, cfg transport.ServerConfig, instrs uint64) {
 	_, spec := startLoopbackServer(b, cfg)
 	p := remoteParams("EBINSD", spec)

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -200,51 +199,56 @@ func TestGoldenWireFormat(t *testing.T) {
 	}
 }
 
-// readAllocBudget parses a one-integer budget file.
-func readAllocBudget(tb testing.TB, path string) float64 {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		tb.Fatalf("alloc budget missing: %v", err)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(string(data)), 64)
-	if err != nil {
-		tb.Fatalf("alloc budget %s: %v", path, err)
-	}
-	return v
-}
-
-// TestAllocBudgetCodecRoundTrip enforces the checked-in allocs/op ceiling for
-// a codec round trip (encode into a reused buffer, decode into a reused
-// event). The budget is deliberately a file so raising it is a reviewed diff.
-func TestAllocBudgetCodecRoundTrip(t *testing.T) {
-	budget := readAllocBudget(t, filepath.Join("testdata", "alloc_budget.txt"))
-	src := &InstrCommit{PC: 0x80000000, Instr: 0x13, Flags: CommitRfWen, Wdata: 42}
-	var dst InstrCommit
+// codecRoundTrip returns one steady-state codec round trip — encode src into
+// a reused buffer, decode into dst — the op BenchmarkCodecRoundTrip* times
+// and TestAllocBudgetCodecRoundTrip* pins.
+func codecRoundTrip(tb testing.TB, src, dst Event) func() {
 	buf := make([]byte, 0, src.EncodedSize())
-	allocs := testing.AllocsPerRun(1000, func() {
+	return func() {
 		buf = src.AppendTo(buf[:0])
 		if _, err := dst.DecodeFrom(buf); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-	})
-	if allocs > budget {
-		t.Fatalf("codec round trip allocates %.1f/op, budget %.0f (testdata/alloc_budget.txt)", allocs, budget)
 	}
 }
 
-// BenchmarkCodecRoundTrip measures the steady-state hot path the ISSUE
-// targets: encode into a reused buffer, decode into a reused event.
+func commitRoundTrip(tb testing.TB) func() {
+	return codecRoundTrip(tb, &InstrCommit{PC: 0x80000000, Instr: 0x13, Flags: CommitRfWen, Wdata: 42}, &InstrCommit{})
+}
+
+// largestRoundTrip round-trips the 1360-byte ArchVecRegState — the event
+// whose reflective encode cost dominated snapshot cycles.
+func largestRoundTrip(tb testing.TB) (op func(), size int64) {
+	src := &ArchVecRegState{}
+	for i := range src.VReg {
+		for j := range src.VReg[i] {
+			src.VReg[i][j] = uint64(i*4 + j)
+		}
+	}
+	return codecRoundTrip(tb, src, &ArchVecRegState{}), int64(src.EncodedSize())
+}
+
+func TestAllocBudgetCodecRoundTrip(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, commitRoundTrip(t)); n > 0 {
+		t.Fatalf("codec round trip allocates %.0f/op, budget 0", n)
+	}
+}
+
+func TestAllocBudgetCodecRoundTripLargest(t *testing.T) {
+	op, _ := largestRoundTrip(t)
+	if n := testing.AllocsPerRun(1000, op); n > 0 {
+		t.Fatalf("largest codec round trip allocates %.0f/op, budget 0", n)
+	}
+}
+
+// BenchmarkCodecRoundTrip measures the steady-state hot path: encode into a
+// reused buffer, decode into a reused event.
 func BenchmarkCodecRoundTrip(b *testing.B) {
-	src := &InstrCommit{PC: 0x80000000, Instr: 0x13, Flags: CommitRfWen, Wdata: 42}
-	var dst InstrCommit
-	buf := make([]byte, 0, src.EncodedSize())
+	op := commitRoundTrip(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = src.AppendTo(buf[:0])
-		if _, err := dst.DecodeFrom(buf); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
 }
 
@@ -266,24 +270,13 @@ func BenchmarkCodecRoundTripReflective(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecRoundTripLargest exercises the 1360-byte ArchVecRegState —
-// the event whose reflective encode cost dominated snapshot cycles.
+// BenchmarkCodecRoundTripLargest exercises the 1360-byte ArchVecRegState.
 func BenchmarkCodecRoundTripLargest(b *testing.B) {
-	src := &ArchVecRegState{}
-	for i := range src.VReg {
-		for j := range src.VReg[i] {
-			src.VReg[i][j] = uint64(i*4 + j)
-		}
-	}
-	var dst ArchVecRegState
-	buf := make([]byte, 0, src.EncodedSize())
+	op, size := largestRoundTrip(b)
 	b.ReportAllocs()
-	b.SetBytes(int64(src.EncodedSize()))
+	b.SetBytes(size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = src.AppendTo(buf[:0])
-		if _, err := dst.DecodeFrom(buf); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
 }

@@ -206,21 +206,50 @@ func TestInfoConsistency(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeCommit(b *testing.B) {
+// encodeCommit and decodeCommit return the ops BenchmarkEncodeCommit and
+// BenchmarkDecodeCommit time and the matching TestAllocBudget* pin. Decode
+// returns a fresh event, so it allocates exactly one.
+func encodeCommit() func() {
 	ev := &InstrCommit{PC: 0x80000000, Instr: 0x13, Wdata: 42}
 	buf := make([]byte, 0, 64)
+	return func() { buf = Encode(buf[:0], ev) }
+}
+
+func decodeCommit(tb testing.TB) func() {
+	raw := EncodeValue(&InstrCommit{PC: 0x80000000})
+	return func() {
+		if _, err := Decode(KindInstrCommit, raw); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func TestAllocBudgetEncodeCommit(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, encodeCommit()); n > 0 {
+		t.Fatalf("Encode allocates %.0f/op, budget 0", n)
+	}
+}
+
+func TestAllocBudgetDecodeCommit(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, decodeCommit(t)); n > 1 {
+		t.Fatalf("Decode allocates %.0f/op, budget 1", n)
+	}
+}
+
+func BenchmarkEncodeCommit(b *testing.B) {
+	op := encodeCommit()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = Encode(buf[:0], ev)
+		op()
 	}
 }
 
 func BenchmarkDecodeCommit(b *testing.B) {
-	raw := EncodeValue(&InstrCommit{PC: 0x80000000})
+	op := decodeCommit(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(KindInstrCommit, raw); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
 }

@@ -8,9 +8,10 @@ import (
 	"repro/internal/transport"
 )
 
-// benchjson's fleet area (BENCH_fleet.json) tracks what fronting difftestd
-// with a router costs: full routed sessions against the direct-to-shard
-// baseline, and the forwarding hot path's per-frame allocation bill.
+// These benchmarks measure what fronting difftestd with a router costs: full
+// routed sessions against the direct-to-shard baseline, and the forwarding
+// hot path's per-frame allocation bill. BENCHMARK.json's fleet_ebin_routed
+// workload gates the routed path end to end.
 
 // benchFleetSession measures a full co-simulation session — the production
 // networked client against a production cosim shard — either through a

@@ -101,9 +101,9 @@ func TestAppendStateDispatch(t *testing.T) {
 	}
 }
 
-// TestAppendStateNoAllocs: with room in dst, encoding the REF's state costs
+// TestAllocBudgetAppendState: with room in dst, encoding the REF's state costs
 // no heap allocation — the checker's per-snapshot compare path.
-func TestAppendStateNoAllocs(t *testing.T) {
+func TestAllocBudgetAppendState(t *testing.T) {
 	m := machine()
 	dst := make([]byte, 0, 2048)
 	for _, k := range SnapshotKinds {

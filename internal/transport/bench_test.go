@@ -8,16 +8,13 @@ import (
 	"repro/internal/event"
 )
 
-// BenchmarkFrameRoundTrip measures one full frame round trip — encode,
-// checksum, write, read, checksum-verify, echo back — over an in-memory
-// connection pair. This is the per-frame floor of every remote session:
-// everything difftestd adds (decode, check, credit) sits on top of it.
-// benchjson's transport area tracks it in BENCH_transport.json.
-func BenchmarkFrameRoundTrip(b *testing.B) {
-	cp, sp := net.Pipe()
-	client, server := NewConn(cp), NewConn(sp)
-	defer client.Close()
-
+// echoRoundTrip starts an echo server on server and returns one full frame
+// round trip from client — encode, checksum, write, read, checksum-verify,
+// echo back — of a packet-sized payload, plus the bytes one trip moves in
+// both directions. It is the op BenchmarkFrameRoundTrip and
+// BenchmarkUnixSocketFrameRoundTrip time and their TestAllocBudget* pins.
+// Both ends close when tb's cleanup runs.
+func echoRoundTrip(tb testing.TB, client, server *Conn) (op func(), size int64) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -25,7 +22,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 		for {
 			h, buf, err := server.ReadFrame()
 			if err != nil {
-				return // client closed after the timed loop
+				return // client closed
 			}
 			err = server.WriteFrame(h.Type, buf)
 			if buf != nil {
@@ -36,118 +33,107 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 			}
 		}
 	}()
+	tb.Cleanup(func() {
+		client.Close()
+		<-done
+	})
 
 	payload := make([]byte, 4096) // Palladium's PacketBytes
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	b.SetBytes(int64(2 * (FrameHeaderSize + len(payload)))) // both directions
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if err := client.WriteFrame(FramePacket, payload); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		_, buf, err := client.ReadFrame()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if len(buf) != len(payload) {
-			b.Fatalf("echo returned %d bytes, want %d", len(buf), len(payload))
+			tb.Fatalf("echo returned %d bytes, want %d", len(buf), len(payload))
 		}
 		event.PutBuf(buf)
-	}
-	b.StopTimer()
-	client.Close()
-	<-done
+	}, int64(2 * (FrameHeaderSize + len(payload)))
 }
 
-// BenchmarkUnixSocketFrameRoundTrip is BenchmarkFrameRoundTrip over a real
-// unix-domain socket instead of net.Pipe: the same echo protocol, but every
-// frame pays the kernel's socket send/receive path. It exists as the baseline
-// the shmring transport is measured against — benchjson's shm area puts this
-// and BenchmarkShmFrameRoundTrip in the same BENCH_shm.json file.
-func BenchmarkUnixSocketFrameRoundTrip(b *testing.B) {
-	sock := filepath.Join(b.TempDir(), "bench.sock")
-	l, err := net.Listen("unix", sock)
+// pipeRoundTrip runs echoRoundTrip over an in-memory connection pair: the
+// per-frame floor of every remote session. Everything difftestd adds
+// (decode, check, credit) sits on top of it.
+func pipeRoundTrip(tb testing.TB) (op func(), size int64) {
+	cp, sp := net.Pipe()
+	return echoRoundTrip(tb, NewConn(cp), NewConn(sp))
+}
+
+// unixRoundTrip runs echoRoundTrip over a real unix-domain socket, so every
+// frame pays the kernel's send/receive path: the baseline the shmring
+// transport's BenchmarkShmFrameRoundTrip is compared with.
+func unixRoundTrip(tb testing.TB) (op func(), size int64) {
+	l, err := net.Listen("unix", filepath.Join(tb.TempDir(), "bench.sock"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer l.Close()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		nc, err := l.Accept()
-		if err != nil {
-			return
-		}
-		server := NewConn(nc)
-		defer server.Close()
-		for {
-			h, buf, err := server.ReadFrame()
-			if err != nil {
-				return
-			}
-			err = server.WriteFrame(h.Type, buf)
-			if buf != nil {
-				event.PutBuf(buf)
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-
-	nc, err := net.Dial("unix", sock)
+	cc, err := net.Dial("unix", l.Addr().String())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	client := NewConn(nc)
-	defer client.Close()
-
-	payload := make([]byte, 4096)
-	for i := range payload {
-		payload[i] = byte(i)
+	sc, err := l.Accept()
+	if err != nil {
+		cc.Close()
+		tb.Fatal(err)
 	}
-	b.SetBytes(int64(2 * (FrameHeaderSize + len(payload))))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.WriteFrame(FramePacket, payload); err != nil {
-			b.Fatal(err)
-		}
-		_, buf, err := client.ReadFrame()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(buf) != len(payload) {
-			b.Fatalf("echo returned %d bytes, want %d", len(buf), len(payload))
-		}
-		event.PutBuf(buf)
-	}
-	b.StopTimer()
-	client.Close()
-	<-done
+	return echoRoundTrip(tb, NewConn(cc), NewConn(sc))
 }
 
-// BenchmarkFrameHeaderSum isolates the CRC32-C checksum over a header plus a
-// packet-sized payload — the only per-byte work the framing layer adds.
-func BenchmarkFrameHeaderSum(b *testing.B) {
+// headerSum returns one CRC32-C checksum over a header plus a packet-sized
+// payload — the only per-byte work the framing layer adds.
+func headerSum(testing.TB) (op func(), size int64) {
 	h := FrameHeader{Magic: FrameMagic, Type: FramePacket, Length: 4096, Seq: 42}
 	payload := make([]byte, 4096)
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	b.SetBytes(int64(frameCheckOffset + len(payload)))
+	var sum uint32
+	return func() { sum ^= h.Sum(payload) }, int64(frameCheckOffset + len(payload))
+}
+
+func BenchmarkFrameRoundTrip(b *testing.B)           { benchOp(b, pipeRoundTrip) }
+func BenchmarkUnixSocketFrameRoundTrip(b *testing.B) { benchOp(b, unixRoundTrip) }
+func BenchmarkFrameHeaderSum(b *testing.B)           { benchOp(b, headerSum) }
+
+// benchOp times the op newOp returns, reporting its bytes as throughput.
+func benchOp(b *testing.B, newOp func(testing.TB) (func(), int64)) {
+	op, size := newOp(b)
+	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var sum uint32
 	for i := 0; i < b.N; i++ {
-		sum = h.Sum(payload)
+		op()
 	}
-	b.StopTimer()
-	if sum == 0 {
-		b.Log("checksum happened to be zero") // keep sum live
+}
+
+// The frame paths allocate a fixed, small number of times per op, and none
+// may grow: ReadFrame's header array escapes into io.ReadFull, so a round
+// trip (one read at each end) costs two, and FrameHeader.Sum's escapes into
+// crc32.
+func TestAllocBudgetFrameRoundTrip(t *testing.T) {
+	op, _ := pipeRoundTrip(t)
+	if n := testing.AllocsPerRun(1000, op); n > 3 {
+		t.Fatalf("frame round trip allocates %.0f/op, budget 3", n)
+	}
+}
+
+func TestAllocBudgetUnixSocketFrameRoundTrip(t *testing.T) {
+	op, _ := unixRoundTrip(t)
+	if n := testing.AllocsPerRun(1000, op); n > 3 {
+		t.Fatalf("unix socket frame round trip allocates %.0f/op, budget 3", n)
+	}
+}
+
+func TestAllocBudgetFrameHeaderSum(t *testing.T) {
+	op, _ := headerSum(t)
+	if n := testing.AllocsPerRun(1000, op); n > 1 {
+		t.Fatalf("FrameHeader.Sum allocates %.0f/op, budget 1", n)
 	}
 }

@@ -7,18 +7,16 @@ import (
 	"repro/internal/wire"
 )
 
-// BenchmarkShmFrameRoundTrip is the ring twin of the transport package's
-// BenchmarkFrameRoundTrip (and its unix-socket variant): one full frame round
-// trip — encode, checksum, publish, consume, checksum-verify, echo back —
-// over a loopback ring pair. benchjson's shm area tracks all three in
-// BENCH_shm.json, so the file itself is the shm-vs-socket RTT comparison.
-func BenchmarkShmFrameRoundTrip(b *testing.B) {
+// ringRoundTrip is the ring twin of the transport package's echo round trip:
+// one full frame round trip — encode, checksum, publish, consume,
+// checksum-verify, echo back — of a packet-sized payload over a loopback
+// ring pair, plus the bytes one trip moves in both directions. It is the op
+// BenchmarkShmFrameRoundTrip times and TestAllocBudgetShmFrameRoundTrip pins.
+func ringRoundTrip(tb testing.TB) (op func(), size int64) {
 	client, server, err := Pair(DefaultRingBytes)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer client.Close()
-
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -26,7 +24,7 @@ func BenchmarkShmFrameRoundTrip(b *testing.B) {
 		for {
 			h, buf, err := server.ReadFrame()
 			if err != nil {
-				return // client closed after the timed loop
+				return // client closed
 			}
 			err = server.WriteFrame(h.Type, buf)
 			server.ReleasePayload(buf)
@@ -35,45 +33,47 @@ func BenchmarkShmFrameRoundTrip(b *testing.B) {
 			}
 		}
 	}()
+	tb.Cleanup(func() {
+		client.Close()
+		<-done
+	})
 
 	payload := make([]byte, 4096) // Palladium's PacketBytes
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	b.SetBytes(int64(2 * (transport.FrameHeaderSize + len(payload)))) // both directions
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if err := client.WriteFrame(transport.FramePacket, payload); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		_, buf, err := client.ReadFrame()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if len(buf) != len(payload) {
-			b.Fatalf("echo returned %d bytes, want %d", len(buf), len(payload))
+			tb.Fatalf("echo returned %d bytes, want %d", len(buf), len(payload))
 		}
 		client.ReleasePayload(buf)
-	}
-	b.StopTimer()
-	client.Close()
-	<-done
+	}, int64(2 * (transport.FrameHeaderSize + len(payload)))
 }
 
-// BenchmarkShmPackCheckZeroCopy measures the batch-pack → publish → consume →
-// checksum-verify path with the zero-copy producer API: wire items are
-// encoded by transport.AppendItems directly into a ReserveFrame slot, the
-// consumer verifies and releases the frame in place, and the per-iteration
-// allocation count must be zero — the packet bytes are written exactly once
-// (at encode time, into the shared mapping) and never copied again.
-func BenchmarkShmPackCheckZeroCopy(b *testing.B) {
+// packCheckZeroCopy returns one batch-pack → publish → consume →
+// checksum-verify pass with the zero-copy producer API, plus the bytes it
+// moves: wire items are encoded by transport.AppendItems directly into a
+// ReserveFrame slot, and the consumer verifies and releases the frame in
+// place. The packet bytes are written exactly once (at encode time, into
+// the shared mapping) and never copied again. It is the op
+// BenchmarkShmPackCheckZeroCopy times and TestAllocBudgetShmPackCheckZeroCopy
+// pins.
+func packCheckZeroCopy(tb testing.TB) (op func(), size int64) {
 	client, server, err := Pair(DefaultRingBytes)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer client.Close()
-	defer server.Close()
+	tb.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
 
 	// One cycle's worth of commit items, the shape the batch packer flushes.
 	itemPayload := make([]byte, 64)
@@ -84,30 +84,60 @@ func BenchmarkShmPackCheckZeroCopy(b *testing.B) {
 	for i := range items {
 		items[i] = wire.Item{Type: 1, Core: uint8(i % 4), Slot: uint8(i), Payload: itemPayload}
 	}
-	size := transport.ItemsSize(items)
-
-	b.SetBytes(int64(transport.FrameHeaderSize + size))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		slot, err := client.ReserveFrame(size)
+	n := transport.ItemsSize(items)
+	return func() {
+		slot, err := client.ReserveFrame(n)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		enc, err := transport.AppendItems(slot[:0], items)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := client.CommitFrame(transport.FrameItems, len(enc)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		fh, payload, err := server.ReadFrame() // CRC-verifies in place
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if int(fh.Length) != size {
-			b.Fatalf("consumed %d bytes, want %d", fh.Length, size)
+		if int(fh.Length) != n {
+			tb.Fatalf("consumed %d bytes, want %d", fh.Length, n)
 		}
 		server.ReleasePayload(payload)
+	}, int64(transport.FrameHeaderSize + n)
+}
+
+func BenchmarkShmFrameRoundTrip(b *testing.B) {
+	op, size := ringRoundTrip(b)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func BenchmarkShmPackCheckZeroCopy(b *testing.B) {
+	op, size := packCheckZeroCopy(b)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func TestAllocBudgetShmFrameRoundTrip(t *testing.T) {
+	op, _ := ringRoundTrip(t)
+	if n := testing.AllocsPerRun(1000, op); n > 0 {
+		t.Fatalf("ring frame round trip allocates %.0f/op, budget 0", n)
+	}
+}
+
+func TestAllocBudgetShmPackCheckZeroCopy(t *testing.T) {
+	op, _ := packCheckZeroCopy(t)
+	if n := testing.AllocsPerRun(1000, op); n > 0 {
+		t.Fatalf("zero-copy pack and check allocates %.0f/op, budget 0", n)
 	}
 }

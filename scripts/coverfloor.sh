@@ -18,7 +18,6 @@ FLOORS='
 repro/internal/transport 85
 repro/internal/transport/shmring 85
 repro/internal/faultnet 85
-repro/internal/benchjson 85
 repro/internal/lint 85
 repro/internal/fleet 85
 repro/internal/fuzz 85
