@@ -57,10 +57,10 @@ type CoreChecker struct {
 	EventsChecked uint64
 	BytesChecked  uint64
 
-	// Per-call scratch, touched only by this core's checking goroutine:
-	// one decoded value per kind (process), the REF's encoding a state
-	// compare lines up against the DUT's (checkState), and the derived
-	// events a fused step folds into its digest (StepDigest).
+	// Per-call scratch: one decoded value per kind (process), the REF's
+	// encoding a state compare lines up against the DUT's (checkState),
+	// and the derived events a fused step folds into its digest
+	// (StepDigest).
 	scratch [event.NumKinds]event.Event
 	refBuf  []byte
 	derived event.Arena

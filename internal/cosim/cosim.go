@@ -374,8 +374,9 @@ func (r *runner) cycleLimitErr() error {
 }
 
 // sink is the software side as the driver sees it, and the driver's only
-// variable: the half checked inline or behind the executed pipeline
-// (halfSink), or a networked client streaming to a difftestd (remoteSink).
+// variable: the in-process half (CheckerSession), checked inline or behind
+// the executed pipeline, or a networked client streaming to a difftestd
+// (remoteSink).
 type sink interface {
 	// transfer consumes one transfer and owns its packet buffer. stop=true
 	// means the stream has a verdict and production should cease.
@@ -393,7 +394,7 @@ func (r *runner) newSink() (sink, error) {
 	if r.p.RemoteAddr != "" {
 		return dialRemoteSink(r)
 	}
-	return newHalfSink(r), nil
+	return r.half, nil
 }
 
 // loop drives the hardware side into the sink until the DUT traps or the

@@ -1,11 +1,7 @@
 package cosim
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/batch"
-	"repro/internal/checker"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -13,10 +9,7 @@ import (
 // The two ends of runner.loop. hwProducer is the hardware side — cycle →
 // fuse → pack → modeled link — emitting one transfer per call, whether the
 // caller is the sequential loop or the executed pipeline's producer stage.
-// halfSink puts the software half behind it in-process; on multi-core
-// executed NonBlocking runs it additionally fans items out to one checking
-// goroutine per core (the checker's per-core independence contract, see
-// internal/checker).
+// In-process, the CheckerSession behind it is the sink.
 //
 // The modeled simulated-time accounting is the same in every mode — the
 // producer drives comm.Link — so an executed run reports both the analytic
@@ -163,110 +156,22 @@ func (p *hwProducer) pack(items []wire.Item, flush bool) error {
 	return nil
 }
 
-// halfSink is the in-process sink: unpack, then check through the half —
-// inline, or fanned out per core. Mismatches from the checking goroutines go
-// through a checker.Collector, which resolves the same winner the sequential
-// stream order would.
-type halfSink struct {
-	half *CheckerSession
+// The in-process sink is the half itself: it checks every transfer on the
+// goroutine that consumes it, in stream order, exactly as a difftestd
+// session does.
 
-	col     checker.Collector
-	chans   []chan wire.Item // per-core fan-out; nil = check inline
-	wg      sync.WaitGroup
-	stopped atomic.Bool
-
-	errMu sync.Mutex
-	err   error
-}
-
-func newHalfSink(r *runner) *halfSink {
-	s := &halfSink{half: r.half}
-	if r.opt.Executed && r.opt.NonBlocking && r.p.DUT.Cores > 1 {
-		s.chans = make([]chan wire.Item, r.p.DUT.Cores)
-		for i := range s.chans {
-			ch := make(chan wire.Item, 1024)
-			s.chans[i] = ch
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				for it := range ch {
-					if s.stopped.Load() {
-						continue // drain so the router never blocks
-					}
-					m, err := s.half.checkItem(it)
-					if err != nil {
-						s.fail(err)
-					} else if m != nil {
-						s.col.Offer(m)
-						s.stopped.Store(true)
-					}
-				}
-			}()
-		}
-	}
-	return s
-}
-
-func (s *halfSink) fail(err error) {
-	s.errMu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.errMu.Unlock()
-	s.stopped.Store(true)
-}
-
-func (s *halfSink) firstErr() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
-}
-
-func (s *halfSink) transfer(x xfer) (bool, error) {
-	items := x.items
-	if x.pkt.Buf != nil {
-		var err error
-		items, err = s.half.unpackPacket(x.pkt.Buf[:x.pkt.Used])
-		// Every payload was copied out; recycle the packet buffer.
-		x.pkt.Release()
-		if err != nil {
-			return false, err
-		}
-	}
-	if s.chans == nil {
-		m, err := s.half.check(items)
+// transfer checks one transfer's items. A packet's buffer goes back to the
+// pool once checked: the unpacker copied every payload it keeps.
+func (s *CheckerSession) transfer(x xfer) (bool, error) {
+	if x.pkt.Buf == nil {
+		m, err := s.Items(x.items)
 		return m != nil, err
 	}
-	for _, it := range items {
-		if s.stopped.Load() {
-			break
-		}
-		if int(it.Core) >= len(s.chans) {
-			s.col.Offer(&checker.Mismatch{Core: it.Core, Detail: "item for unknown core"})
-			s.stopped.Store(true)
-			break
-		}
-		s.chans[it.Core] <- it
-	}
-	return s.stopped.Load(), s.firstErr()
+	m, err := s.Packet(x.pkt.Buf[:x.pkt.Used])
+	x.pkt.Release()
+	return m != nil, err
 }
 
-// close joins the per-core checking goroutines; idempotent.
-func (s *halfSink) close() {
-	for _, ch := range s.chans {
-		close(ch)
-	}
-	s.chans = nil
-	s.wg.Wait()
-}
+func (s *CheckerSession) finish() (transport.Final, error) { return s.Finish() }
 
-func (s *halfSink) finish() (transport.Final, error) {
-	s.close()
-	if err := s.firstErr(); err != nil {
-		return transport.Final{}, err
-	}
-	if m := s.col.First(); m != nil {
-		s.half.mismatch = m
-	}
-	return s.half.Finish()
-}
+func (s *CheckerSession) close() {}

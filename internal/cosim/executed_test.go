@@ -82,67 +82,6 @@ func TestExecutedCleanAllConfigs(t *testing.T) {
 	}
 }
 
-// TestExecutedDualCoreFanout exercises the per-core consumer fan-out under
-// a multi-core DUT (run with -race in CI): with the full Squash stack, and
-// without it, where each core's goroutine decodes into its own checker
-// scratch through ProcessItem.
-func TestExecutedDualCoreFanout(t *testing.T) {
-	for _, cfg := range []string{"EBINSD", "EBIN"} {
-		opt, _ := ParseConfig(cfg)
-		opt.Executed = true
-		res := run(t, Params{
-			DUT: dut.XiangShanDefaultDual(), Platform: platform.Palladium(), Opt: opt,
-			Workload: scaled(workload.LinuxBoot(), 16_000), Seed: 11,
-		})
-		if res.Mismatch != nil {
-			t.Fatalf("%s: spurious dual-core mismatch: %v", cfg, res.Mismatch)
-		}
-		if !res.Finished {
-			t.Fatalf("%s: dual-core executed run did not finish", cfg)
-		}
-	}
-}
-
-// TestExecutedBugEquivalence is the concurrent-checking gate: for every bug
-// in the library, the executed pipeline must report the same mismatch as
-// the sequential loop — same core, kind, and program counter — under both
-// the per-event baseline and the fully fused configuration.
-func TestExecutedBugEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bug sweep is long")
-	}
-	for _, cfg := range []string{"Z", "EBINSD"} {
-		for _, b := range bugs.Library() {
-			b := b
-			cfg := cfg
-			t.Run(cfg+"/"+b.ID, func(t *testing.T) {
-				mk := func(executed bool) *Result {
-					p := executedParams(cfg, executed)
-					p.Workload = scaled(workload.LinuxBoot(), 40_000)
-					p.Seed = 3
-					p.Hooks = b.Hooks(0)
-					return run(t, p)
-				}
-				seq := mk(false)
-				exe := mk(true)
-				if (seq.Mismatch == nil) != (exe.Mismatch == nil) {
-					t.Fatalf("detection disagrees: modeled=%v executed=%v", seq.Mismatch, exe.Mismatch)
-				}
-				if seq.Mismatch == nil {
-					t.Skipf("bug %s escapes this workload in both modes", b.ID)
-				}
-				sm, em := seq.Mismatch, exe.Mismatch
-				if sm.Core != em.Core || sm.Kind != em.Kind || sm.Seq != em.Seq || sm.PC != em.PC {
-					t.Errorf("mismatch identity differs:\n modeled : %v\n executed: %v", sm, em)
-				}
-				if cfg == "EBINSD" && (seq.Replay == nil) != (exe.Replay == nil) {
-					t.Errorf("replay disagreement: modeled=%v executed=%v", seq.Replay != nil, exe.Replay != nil)
-				}
-			})
-		}
-	}
-}
-
 // TestExecutedOverlapSpeedup is the acceptance measurement: with real
 // concurrency, the non-blocking configuration (EBIN) must beat its
 // blocking counterpart (EB) on wall-clock time, because DUT emulation and

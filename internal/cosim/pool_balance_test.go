@@ -58,7 +58,7 @@ func TestTransportStopReleasesRemainingPackets(t *testing.T) {
 	}
 	r.packer = batch.NewPacker(batch.MinPacketBytes)
 	prod := &hwProducer{r: r, finished: true} // pre-packed bursts only; never step a DUT
-	sink := newHalfSink(r)
+	sink := r.half
 
 	bogus := func(n, base int) []event.Record {
 		var recs []event.Record

@@ -174,52 +174,6 @@ func TestLoopbackTokenWindowStalls(t *testing.T) {
 	}
 }
 
-// TestRemoteBugEquivalence is the networked half of the verdict-equivalence
-// gate: for every bug in the library, a loopback remote run must agree with
-// the in-process executed pipeline — same detection outcome, and on
-// detection the same instruction (core, kind, seq, pc) and the same
-// diagnosis text, since the wire carries the checker's full report.
-func TestRemoteBugEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bug sweep is long")
-	}
-	_, spec := startLoopbackServer(t, transport.ServerConfig{})
-	for _, cfg := range []string{"Z", "EBINSD"} {
-		for _, b := range bugs.Library() {
-			b := b
-			cfg := cfg
-			t.Run(cfg+"/"+b.ID, func(t *testing.T) {
-				mk := func(remote bool) *Result {
-					p := executedParams(cfg, true)
-					if remote {
-						p.RemoteAddr = spec
-					}
-					p.Workload = scaled(workload.LinuxBoot(), 40_000)
-					p.Seed = 3
-					p.Hooks = b.Hooks(0)
-					return run(t, p)
-				}
-				local := mk(false)
-				rem := mk(true)
-				if (local.Mismatch == nil) != (rem.Mismatch == nil) {
-					t.Fatalf("detection disagrees: in-process=%v remote=%v",
-						local.Mismatch, rem.Mismatch)
-				}
-				if local.Mismatch == nil {
-					t.Skipf("bug %s escapes this workload in both modes", b.ID)
-				}
-				lm, rm := local.Mismatch, rem.Mismatch
-				if lm.Core != rm.Core || lm.Kind != rm.Kind || lm.Seq != rm.Seq || lm.PC != rm.PC {
-					t.Errorf("mismatch identity differs:\n in-process: %v\n remote    : %v", lm, rm)
-				}
-				if lm.Detail != rm.Detail {
-					t.Errorf("diagnosis differs:\n in-process: %s\n remote    : %s", lm.Detail, rm.Detail)
-				}
-			})
-		}
-	}
-}
-
 // TestRemoteCancellation pins the cooperative-cancel satellite: a cancelled
 // context stops a remote run mid-stream, the run surfaces the context error,
 // and every pooled buffer drains through the release paths.

@@ -146,9 +146,7 @@ func (s *CheckerSession) Items(items []wire.Item) (*checker.Mismatch, error) {
 }
 
 // checkItem runs one wire item through the Squash reorderer or the direct
-// per-event checker. It touches only the item's core — including that core's
-// checker scratch — so the executed pipeline's per-core fan-out may call it
-// from one goroutine per core.
+// per-event checker.
 func (s *CheckerSession) checkItem(it wire.Item) (*checker.Mismatch, error) {
 	if s.opt.Squash {
 		return s.desq.Process(it), nil

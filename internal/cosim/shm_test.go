@@ -84,58 +84,6 @@ func TestShmLoopbackSession(t *testing.T) {
 	}
 }
 
-// TestShmBugEquivalence is the shared-memory half of the verdict-equivalence
-// gate: for every bug in the library, a run streamed over the shm ring to
-// the in-process server must agree with the in-process executed pipeline —
-// same detection outcome, same mismatch identity, same diagnosis text.
-func TestShmBugEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bug sweep is long")
-	}
-	if raceEnabled {
-		// The full-library sweep alone would blow the package's race-mode
-		// time budget; the race detector still covers the shm path through
-		// the loopback, CompareModes, and transport conformance gates, and
-		// the sweep itself runs in every plain `go test ./...`.
-		t.Skip("bug sweep exceeds the race-mode time budget")
-	}
-	_, spec := startShmServer(t, transport.ServerConfig{})
-	for _, cfg := range []string{"Z", "EBINSD"} {
-		for _, b := range bugs.Library() {
-			b := b
-			cfg := cfg
-			t.Run(cfg+"/"+b.ID, func(t *testing.T) {
-				mk := func(remote bool) *Result {
-					p := executedParams(cfg, true)
-					if remote {
-						p.RemoteAddr = spec
-					}
-					p.Workload = scaled(workload.LinuxBoot(), 40_000)
-					p.Seed = 3
-					p.Hooks = b.Hooks(0)
-					return run(t, p)
-				}
-				local := mk(false)
-				shm := mk(true)
-				if (local.Mismatch == nil) != (shm.Mismatch == nil) {
-					t.Fatalf("detection disagrees: in-process=%v shm=%v",
-						local.Mismatch, shm.Mismatch)
-				}
-				if local.Mismatch == nil {
-					t.Skipf("bug %s escapes this workload in both modes", b.ID)
-				}
-				lm, sm := local.Mismatch, shm.Mismatch
-				if lm.Core != sm.Core || lm.Kind != sm.Kind || lm.Seq != sm.Seq || lm.PC != sm.PC {
-					t.Errorf("mismatch identity differs:\n in-process: %v\n shm       : %v", lm, sm)
-				}
-				if lm.Detail != sm.Detail {
-					t.Errorf("diagnosis differs:\n in-process: %s\n shm       : %s", lm.Detail, sm.Detail)
-				}
-			})
-		}
-	}
-}
-
 // TestCompareModesShmLoopback pins the -shm comparison column: with
 // ShmLoopback set, every configuration row carries a finished shm result and
 // the optimized configurations beat the shm baseline.

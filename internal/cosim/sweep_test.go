@@ -59,3 +59,29 @@ func TestSeedSweepDualCore(t *testing.T) {
 		}
 	}
 }
+
+// TestDualCoreLongRunClean runs the dual-core DUT far enough that timer
+// interrupts land inside generated MMIO sequences: a bug-free DUT must still
+// finish clean. The sweep above stops at 12k instructions, short of the
+// seeds and lengths where a misplaced device store used to reach the other
+// hart's loads in the shared DUT RAM (and never in the private REF images).
+// It is one goroutine end to end, so the race detector has nothing to watch.
+func TestDualCoreLongRunClean(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("long dual-core runs; sequential, so nothing for -race to check")
+	}
+	opt, _ := ParseConfig("EBINSD")
+	for _, seed := range []int64{3, 5} {
+		res, err := Run(Params{
+			DUT: dut.XiangShanDefaultDual(), Platform: platform.Palladium(),
+			Opt: opt, Workload: scaled(workload.LinuxBoot(), 200_000), Seed: seed,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Mismatch != nil || !res.Finished || res.TrapCode != 0 {
+			t.Fatalf("seed %d: bug-free dual-core run: finished=%v trap=%d mismatch=%v",
+				seed, res.Finished, res.TrapCode, res.Mismatch)
+		}
+	}
+}

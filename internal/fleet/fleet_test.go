@@ -521,44 +521,3 @@ func TestFleetTenantQuotaAdmission(t *testing.T) {
 			res.Finished, res.Mismatch, res.Degraded)
 	}
 }
-
-// TestFleetBugLibraryEquivalence routes the whole bug library (plus a clean
-// baseline) through a 3-shard fleet with no induced chaos: every verdict
-// must be byte-identical to the in-process reference — the "difftest -remote
-// via a router is still difftest" gate.
-func TestFleetBugLibraryEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bug-library sweep is long")
-	}
-	_, spec, _, _, _ := cosimFleet(t, 3, Config{}, nil)
-
-	ids := []string{""}
-	for _, b := range bugs.Library() {
-		ids = append(ids, b.ID)
-	}
-	for _, id := range ids {
-		id := id
-		name := id
-		if name == "" {
-			name = "clean"
-		}
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			ref, err := cosim.Run(fleetParams(t, id, "", 3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := fleetParams(t, id, spec, 3)
-			p.RemoteCfg = routedCfg()
-			p.Tenant = "sweep"
-			res, err := cosim.Run(p)
-			if err != nil {
-				t.Fatalf("routed run: %v", err)
-			}
-			if res.Degraded {
-				t.Fatal("routed run degraded without any induced fault")
-			}
-			fleetVerdictEq(t, ref, res, name)
-		})
-	}
-}

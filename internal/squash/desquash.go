@@ -2,7 +2,6 @@ package squash
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/checker"
 	"repro/internal/derive"
@@ -26,11 +25,8 @@ type Desquasher struct {
 
 	// LateSkipped counts tagged checks that arrived after the reference
 	// model passed their tag and were completed but not compared (rare;
-	// only possible around end-of-run flushes). Atomic so the executed
-	// pipeline's per-core consumer goroutines can bump it concurrently —
-	// every other Desquasher field is either read-only after construction
-	// or owned by exactly one core's stream.
-	LateSkipped atomic.Uint64
+	// only possible around end-of-run flushes).
+	LateSkipped uint64
 }
 
 // coreDesq is one core's reorder state. Tagged encodings are owned here:
@@ -159,7 +155,7 @@ func (d *Desquasher) handleTagged(cd *coreDesq, rec event.Record) *checker.Misma
 	case rec.Seq == cur:
 		return d.applyTagged(cd, rec)
 	default: // late
-		d.LateSkipped.Add(1)
+		d.LateSkipped++
 		cd.recycle(rec.Kind, rec.Data)
 		return nil
 	}

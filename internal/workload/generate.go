@@ -10,8 +10,11 @@ import (
 // Register discipline for generated code:
 //
 //	x1–x24  free for random instruction operands
-//	x25     generator temp for multi-instruction sequences (guest faults)
-//	x26,x27 MMIO/trap-handler temps (clobbered by the handler)
+//	x25     generator temp for multi-instruction sequences (guest faults,
+//	        AMOs, long jumps, MMIO device addresses); the trap handler
+//	        never writes it
+//	x26,x27 trap-handler temps, also the UART data byte (clobbered by the
+//	        handler)
 //	x30     loop counter
 //	x31     data region base
 const (
@@ -495,20 +498,23 @@ func (g *gen) emitGuestFault() {
 
 // emitMMIO emits one device access: a UART write, an RNG read, or an mtime
 // read — the non-deterministic events the REF must be synchronized with.
+// The device address is held in regSeq, which the trap handler never
+// writes: an interrupt between the LUI and the access must not redirect it
+// (the hazard the exit sequence guards against by masking interrupts).
 func (g *gen) emitMMIO() {
 	switch g.rng.Intn(3) {
 	case 0: // UART putc
 		lui, off := addrParts(mem.UARTBase)
-		g.emit(isa.Inst{Op: isa.OpLUI, Rd: regTmpB, Imm: lui})
+		g.emit(isa.Inst{Op: isa.OpLUI, Rd: regSeq, Imm: lui})
 		g.emit(isa.Inst{Op: isa.OpADDI, Rd: regTmpA, Rs1: 0, Imm: int64(32 + g.rng.Intn(95))})
-		g.emit(isa.Inst{Op: isa.OpSB, Rs1: regTmpB, Rs2: regTmpA, Imm: off})
+		g.emit(isa.Inst{Op: isa.OpSB, Rs1: regSeq, Rs2: regTmpA, Imm: off})
 	case 1: // RNG read into a live register
 		lui, off := addrParts(mem.RNGBase)
-		g.emit(isa.Inst{Op: isa.OpLUI, Rd: regTmpB, Imm: lui})
-		g.emit(isa.Inst{Op: isa.OpLD, Rd: g.reg(), Rs1: regTmpB, Imm: off})
+		g.emit(isa.Inst{Op: isa.OpLUI, Rd: regSeq, Imm: lui})
+		g.emit(isa.Inst{Op: isa.OpLD, Rd: g.reg(), Rs1: regSeq, Imm: off})
 	default: // mtime read
 		lui, off := addrParts(mem.CLINTBase + 0xBFF8)
-		g.emit(isa.Inst{Op: isa.OpLUI, Rd: regTmpB, Imm: lui})
-		g.emit(isa.Inst{Op: isa.OpLD, Rd: g.reg(), Rs1: regTmpB, Imm: off})
+		g.emit(isa.Inst{Op: isa.OpLUI, Rd: regSeq, Imm: lui})
+		g.emit(isa.Inst{Op: isa.OpLD, Rd: g.reg(), Rs1: regSeq, Imm: off})
 	}
 }
