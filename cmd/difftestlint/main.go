@@ -1,154 +1,22 @@
-// Command difftestlint runs the project's static-analysis suite — the
+// Command difftestlint is the project's static-analysis suite — the
 // wirestruct, poolcheck, useafterrelease, kindswitch, atomicfield,
-// deadlinepair, and framekind analyzers from internal/lint — over the given
-// package patterns, printing one file:line:col finding per violated
-// invariant and exiting non-zero when anything is found.
+// deadlinepair, and framekind analyzers from internal/lint — packaged as a
+// go vet tool:
 //
-// Usage:
-//
-//	difftestlint [-analyzers a,b] [-dir moduleRoot] [-format text|sarif] [-o file] [-audit] [patterns...]
-//
-// Patterns default to ./... and are resolved with `go list`. -format=sarif
-// emits a SARIF 2.1.0 log (suppressed findings included, with their
-// //lint:ignore justifications) for CI annotation tooling; -o redirects the
-// report to a file. -audit prints the suppression inventory — every
-// //lint:ignore directive with its reason and what it silences — and fails
-// on stale directives that suppress nothing.
-//
-// The binary also speaks the `go vet -vettool` protocol, so
-//
+//	go build -o bin/difftestlint ./cmd/difftestlint
 //	go vet -vettool=$(pwd)/bin/difftestlint ./...
 //
-// runs the same analyzers through the go command's per-package cache.
+// The go command runs it once per package, test files included, and fails
+// on any file:line:col finding it prints. Run any other way, it prints a
+// usage line and exits 2.
 package main
 
 import (
-	"flag"
-	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	// The vettool handshake (-V=full / -flags / pkg.cfg) bypasses the CLI.
-	if handled, code := lint.RunVetTool(os.Args[0], os.Args[1:], os.Stdout, os.Stderr); handled {
-		os.Exit(code)
-	}
-
-	var (
-		analyzerList = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		dir          = flag.String("dir", "", "directory to resolve patterns from (default: current)")
-		docs         = flag.Bool("doc", false, "print each analyzer's enforced invariant and exit")
-		format       = flag.String("format", "text", "report format: text or sarif")
-		out          = flag.String("o", "", "write the report to this file (default: stdout)")
-		audit        = flag.Bool("audit", false, "print the //lint:ignore inventory and fail on stale directives")
-	)
-	flag.Parse()
-
-	if *docs {
-		for _, a := range lint.All() {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *format != "text" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "difftestlint: unknown format %q (have: text, sarif)\n", *format)
-		os.Exit(2)
-	}
-
-	var names []string
-	if *analyzerList != "" {
-		names = strings.Split(*analyzerList, ",")
-	}
-	analyzers, unknown := lint.ByName(names)
-	if unknown != "" {
-		fmt.Fprintf(os.Stderr, "difftestlint: unknown analyzer %q (have:", unknown)
-		for _, a := range lint.All() {
-			fmt.Fprintf(os.Stderr, " %s", a.Name)
-		}
-		fmt.Fprintln(os.Stderr, ")")
-		os.Exit(2)
-	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	loader := lint.NewLoader(*dir)
-	pkgs, err := loader.Load(patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "difftestlint: %v\n", err)
-		os.Exit(2)
-	}
-
-	rep, err := lint.RunReport(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "difftestlint: %v\n", err)
-		os.Exit(2)
-	}
-
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "difftestlint: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	if *audit {
-		os.Exit(runAudit(w, rep))
-	}
-
-	switch *format {
-	case "sarif":
-		base, _ := os.Getwd()
-		if *dir != "" {
-			base = *dir
-		}
-		if err := lint.WriteSARIF(w, analyzers, rep, base); err != nil {
-			fmt.Fprintf(os.Stderr, "difftestlint: %v\n", err)
-			os.Exit(2)
-		}
-	default:
-		for _, f := range rep.Findings {
-			fmt.Fprintln(w, f.String())
-		}
-	}
-	if len(rep.Findings) > 0 {
-		fmt.Fprintf(os.Stderr, "difftestlint: %d finding(s) in %d package(s)\n", len(rep.Findings), len(pkgs))
-		os.Exit(1)
-	}
-}
-
-// runAudit prints every //lint:ignore directive with its justification and
-// suppression count, returning exit code 1 when any directive is stale.
-// (Stale directives also fail a plain run as DriverName findings; the audit
-// is the human-readable inventory of what the tree has excused and why.)
-func runAudit(w io.Writer, rep lint.Report) int {
-	counts := make(map[string]int)
-	for _, s := range rep.Suppressed {
-		counts[s.DirectivePos.String()]++
-	}
-	stale := 0
-	for _, d := range rep.Directives {
-		status := fmt.Sprintf("suppresses %d finding(s)", counts[d.Pos.String()])
-		if !d.Used {
-			status = "STALE: suppresses nothing"
-			stale++
-		}
-		fmt.Fprintf(w, "%s: //lint:ignore %s — %s (%s)\n", d.Pos, d.Analyzer, d.Reason, status)
-	}
-	fmt.Fprintf(w, "difftestlint: %d directive(s), %d suppression(s), %d stale\n",
-		len(rep.Directives), len(rep.Suppressed), stale)
-	if stale > 0 {
-		return 1
-	}
-	return 0
+	os.Exit(lint.RunVetTool(os.Args[0], os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -1,11 +1,14 @@
 package cosim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bugs"
 	"repro/internal/dut"
 	"repro/internal/platform"
+	"repro/internal/replay"
 	"repro/internal/workload"
 )
 
@@ -161,6 +164,32 @@ func TestInjectedBugDetectedAndReplayed(t *testing.T) {
 	})
 	if resZ.Mismatch == nil {
 		t.Fatal("injected bug not detected under Z")
+	}
+}
+
+// TestReplayOverrunIsNotALocalisation: when the replay ring has evicted
+// the failing window's checkpoint token, the report says so instead of
+// posing as an instruction-level root.
+func TestReplayOverrunIsNotALocalisation(t *testing.T) {
+	b, ok := bugs.ByID("mepc-misaligned-on-trap")
+	if !ok {
+		t.Fatal("bug mepc-misaligned-on-trap missing from the library")
+	}
+	opt, _ := ParseConfig("EBINSD")
+	res := run(t, Params{
+		DUT: dut.XiangShanDefault(), Platform: platform.Palladium(), Opt: opt,
+		Workload: scaled(workload.LinuxBoot(), 40_000), Seed: 3, Hooks: b.Hooks(0),
+		ReplayBufCap: 256,
+	})
+	if res.Mismatch == nil || res.Replay == nil {
+		t.Fatalf("want a mismatch with a replay report, got mismatch=%v replay=%v", res.Mismatch, res.Replay)
+	}
+	if res.Replay.Outcome != replay.Overrun || res.Replay.Detailed != nil {
+		t.Fatalf("outcome=%d detailed=%v, want Overrun with no root:\n%s",
+			res.Replay.Outcome, res.Replay.Detailed, res.Replay)
+	}
+	if !strings.Contains(res.Replay.String(), "instruction-level root: replay buffer overrun (") {
+		t.Errorf("report does not name the overrun:\n%s", res.Replay)
 	}
 }
 

@@ -220,6 +220,9 @@ func checkReplayEq(t *testing.T, want, got *Result) {
 	if want.Replay == nil {
 		return
 	}
+	if want.Replay.Outcome != got.Replay.Outcome {
+		t.Fatalf("replay outcome disagrees: sequential=%d link=%d", want.Replay.Outcome, got.Replay.Outcome)
+	}
 	w, g := want.Replay.Detailed, got.Replay.Detailed
 	if (w == nil) != (g == nil) {
 		t.Fatalf("replay localisation disagrees: sequential=%v link=%v", w, g)

@@ -95,8 +95,10 @@ func TestExecutedOverlapSpeedup(t *testing.T) {
 		p.Workload = scaled(workload.LinuxBoot(), 60_000)
 		return run(t, p)
 	}
-	best := 0.0
-	for attempt := 0; attempt < 3 && best <= 1.0; attempt++ {
+	// One EB/EBIN pair can flip under CPU contention, so up to three
+	// interleaved attempts run; one showing both overlap and a wall-clock
+	// win passes.
+	for attempt := 0; attempt < 3; attempt++ {
 		eb := mk("EB")
 		ebin := mk("EBIN")
 		if ebin.Exec == nil || eb.Exec == nil {
@@ -106,16 +108,11 @@ func TestExecutedOverlapSpeedup(t *testing.T) {
 		t.Logf("attempt %d: EB wall %v, EBIN wall %v, speedup %.2fx (overlap %.0f%%, backpressure %d)",
 			attempt, eb.Exec.Wall, ebin.Exec.Wall, speedup,
 			ebin.Exec.OverlapShare()*100, ebin.Exec.Backpressure)
-		if speedup > best {
-			best = speedup
-		}
-		if ebin.Exec.Overlap() == 0 {
-			t.Error("EBIN executed run measured zero overlap")
+		if ebin.Exec.Overlap() > 0 && speedup > 1.0 {
+			return
 		}
 	}
-	if best <= 1.0 {
-		t.Errorf("executed EBIN never beat blocking EB (best %.2fx)", best)
-	}
+	t.Error("in 3 attempts executed EBIN never both overlapped its stages and beat blocking EB")
 }
 
 // TestCompareModesFreshHooks: bug triggers are stateful counters, so the

@@ -7,24 +7,3 @@ func All() []*Analyzer {
 		AtomicField, DeadlinePair, FrameKind,
 	}
 }
-
-// ByName resolves a comma-separated analyzer selection; an empty selection
-// means All. Unknown names return nil and the offending name.
-func ByName(names []string) ([]*Analyzer, string) {
-	if len(names) == 0 {
-		return All(), ""
-	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, n
-		}
-		out = append(out, a)
-	}
-	return out, ""
-}

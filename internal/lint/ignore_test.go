@@ -1,8 +1,6 @@
 package lint_test
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -22,16 +20,11 @@ func TestIgnoreJustified(t *testing.T) {
 // directive's own comment line, where a `// want` comment cannot sit, so
 // they are asserted programmatically.)
 func TestIgnoreRejections(t *testing.T) {
-	dir, err := filepath.Abs("testdata/ignorebad")
+	pkg, err := lint.Typecheck(linttest.Config(t, "testdata/ignorebad"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := lint.NewLoader(moduleRoot(t))
-	pkg, err := loader.LoadDir(dir, "testdata/ignorebad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.KindSwitch})
+	findings, err := lint.Run(pkg, []*lint.Analyzer{lint.KindSwitch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,22 +66,4 @@ func dump(findings []lint.Finding) string {
 		b.WriteString("  " + f.String() + "\n")
 	}
 	return b.String()
-}
-
-func moduleRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above working directory")
-		}
-		dir = parent
-	}
 }

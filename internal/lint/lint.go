@@ -13,9 +13,10 @@
 // declared frame kind (framekind).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
-// Analyzer, Pass, Reportf — but is built only on go/parser, go/types and
-// `go list -json`, so it works in a vendored-nothing module. If x/tools ever
-// becomes available the analyzers port over mechanically.
+// Analyzer, Pass, Reportf — but is built only on go/parser, go/types and the
+// export data `go vet -vettool` hands each tool, so it works in a
+// vendored-nothing module. If x/tools ever becomes available the analyzers
+// port over mechanically.
 //
 // Intentional violations are suppressed with a justified directive:
 //
@@ -82,63 +83,48 @@ func (f Finding) String() string {
 // problems with ignore directives themselves.
 const DriverName = "lint"
 
-// Suppression records one finding silenced by a //lint:ignore directive,
-// keeping the justification attached to what it justified.
-type Suppression struct {
-	Finding Finding
-	Reason  string
-	// DirectivePos locates the directive comment that did the suppressing.
-	DirectivePos token.Position
-}
-
-// Directive summarizes one well-formed //lint:ignore for the suppression
-// audit. A directive with Used == false is stale: the code it excused has
-// moved or been fixed, and the directive must be deleted.
-type Directive struct {
-	Analyzer string
-	Reason   string
-	Pos      token.Position
-	Used     bool
-}
-
-// Report is the full outcome of a lint run: what fired, what was silenced
-// and why, and every suppression directive seen — the raw material for the
-// SARIF encoder and the audit mode.
-type Report struct {
-	Findings   []Finding
-	Suppressed []Suppression
-	Directives []Directive
-}
-
-// Run applies the analyzers to each package, resolves //lint:ignore
-// directives, and returns the surviving findings sorted by position.
-// Directive misuse (no reason, unknown analyzer, nothing suppressed) is
-// returned as a finding under DriverName.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	rep, err := RunReport(pkgs, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Findings, nil
-}
-
-// RunReport is Run keeping the whole story: suppressed findings with their
-// justifications and the directive inventory ride along with the survivors.
-func RunReport(pkgs []*Package, analyzers []*Analyzer) (Report, error) {
-	var rep Report
-	for _, pkg := range pkgs {
-		if err := runPackage(pkg, analyzers, &rep); err != nil {
-			return Report{}, err
+// Run applies the analyzers to pkg, resolves //lint:ignore directives, and
+// returns the surviving findings sorted by position. Directive misuse (no
+// reason, unknown analyzer, nothing suppressed) is returned as a finding
+// under DriverName.
+func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
+	known := make(map[string]bool, len(analyzers))
+	var findings []Finding
+	for _, a := range analyzers {
+		known[a.Name] = true
+		pass := &Pass{
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.ImportPath, err)
+		}
+		for _, d := range pass.diags {
+			findings = append(findings, Finding{
+				Analyzer: a.Name,
+				Pos:      pkg.Fset.Position(d.pos),
+				Message:  d.msg,
+			})
 		}
 	}
-	sortFindings(rep.Findings)
-	sort.Slice(rep.Suppressed, func(i, j int) bool {
-		return posLess(rep.Suppressed[i].Finding.Pos, rep.Suppressed[j].Finding.Pos)
-	})
-	sort.Slice(rep.Directives, func(i, j int) bool {
-		return posLess(rep.Directives[i].Pos, rep.Directives[j].Pos)
-	})
-	return rep, nil
+
+	dirs, bad := collectIgnores(pkg, known)
+	findings = applyIgnores(findings, dirs)
+	for _, d := range dirs {
+		if !d.used {
+			bad = append(bad, Finding{
+				Analyzer: DriverName,
+				Pos:      d.pos,
+				Message:  fmt.Sprintf("lint:ignore directive for %q suppresses nothing", d.analyzer),
+			})
+		}
+	}
+	findings = append(findings, bad...)
+	sortFindings(findings)
+	return findings, nil
 }
 
 func sortFindings(findings []Finding) {
@@ -165,53 +151,9 @@ func posLess(a, b token.Position) bool {
 	return a.Column < b.Column
 }
 
-func runPackage(pkg *Package, analyzers []*Analyzer, rep *Report) error {
-	known := make(map[string]bool, len(analyzers))
-	var findings []Finding
-	for _, a := range analyzers {
-		known[a.Name] = true
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-		}
-		if err := a.Run(pass); err != nil {
-			return fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.ImportPath, err)
-		}
-		for _, d := range pass.diags {
-			findings = append(findings, Finding{
-				Analyzer: a.Name,
-				Pos:      pkg.Fset.Position(d.pos),
-				Message:  d.msg,
-			})
-		}
-	}
-
-	dirs, bad := collectIgnores(pkg, known)
-	findings, suppressed := applyIgnores(findings, dirs)
-	for _, d := range dirs {
-		if !d.used {
-			bad = append(bad, Finding{
-				Analyzer: DriverName,
-				Pos:      d.pos,
-				Message:  fmt.Sprintf("lint:ignore directive for %q suppresses nothing", d.analyzer),
-			})
-		}
-		rep.Directives = append(rep.Directives, Directive{
-			Analyzer: d.analyzer, Reason: d.reason, Pos: d.pos, Used: d.used,
-		})
-	}
-	rep.Findings = append(rep.Findings, append(findings, bad...)...)
-	rep.Suppressed = append(rep.Suppressed, suppressed...)
-	return nil
-}
-
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
 	analyzer string
-	reason   string
 	pos      token.Position // position of the directive comment
 	trailing bool           // shares a line with code (applies to that line)
 	used     bool
@@ -247,7 +189,6 @@ func collectIgnores(pkg *Package, known map[string]bool) ([]*ignoreDirective, []
 				default:
 					dirs = append(dirs, &ignoreDirective{
 						analyzer: name,
-						reason:   reason,
 						pos:      pos,
 						trailing: !startsLine(pkg, c),
 					})
@@ -296,17 +237,13 @@ func startsLine(pkg *Package, c *ast.Comment) bool {
 	return true
 }
 
-// applyIgnores splits findings into survivors and suppressions, marking
+// applyIgnores drops the findings a directive covers, marking those
 // directives used. A standalone directive covers the next line; a trailing
 // directive covers its own line.
-func applyIgnores(findings []Finding, dirs []*ignoreDirective) ([]Finding, []Suppression) {
-	if len(dirs) == 0 {
-		return findings, nil
-	}
+func applyIgnores(findings []Finding, dirs []*ignoreDirective) []Finding {
 	kept := findings[:0]
-	var suppressed []Suppression
 	for _, f := range findings {
-		var by *ignoreDirective
+		suppressed := false
 		for _, d := range dirs {
 			if d.analyzer != f.Analyzer || d.pos.Filename != f.Pos.Filename {
 				continue
@@ -317,20 +254,14 @@ func applyIgnores(findings []Finding, dirs []*ignoreDirective) ([]Finding, []Sup
 			}
 			if f.Pos.Line == line {
 				d.used = true
-				if by == nil {
-					by = d
-				}
+				suppressed = true
 			}
 		}
-		if by == nil {
+		if !suppressed {
 			kept = append(kept, f)
-		} else {
-			suppressed = append(suppressed, Suppression{
-				Finding: f, Reason: by.reason, DirectivePos: by.pos,
-			})
 		}
 	}
-	return kept, suppressed
+	return kept
 }
 
 // eventPackage returns the project's event package as seen from pass (the

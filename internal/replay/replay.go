@@ -162,10 +162,14 @@ func (b *Buffer) Range(core uint8, from uint64) ([]event.Record, error) {
 type Report struct {
 	// Original is the fused-level mismatch that triggered replay.
 	Original *checker.Mismatch
+	// Outcome says how the replay ended; it decides what Detailed holds.
+	Outcome Outcome
 	// Detailed is the per-instruction mismatch found by reprocessing the
-	// unfused events, or nil if the divergence did not reproduce (e.g. a
-	// digest hash collision).
+	// unfused events (Localized), Original itself (NoCheckpoint), or nil
+	// (NotReproduced, Overrun).
 	Detailed *checker.Mismatch
+	// Err is the buffer's eviction error when Outcome is Overrun.
+	Err error
 	// Replayed counts retransmitted records; ReplayedBytes their payload.
 	Replayed      int
 	ReplayedBytes int
@@ -175,14 +179,35 @@ type Report struct {
 	Context []event.Record
 }
 
+// Outcome classifies a replay.
+type Outcome uint8
+
+const (
+	// Localized: reprocessing the unfused records found the first
+	// mismatching instruction.
+	Localized Outcome = iota
+	// NotReproduced: every retransmitted record checked clean (e.g. a
+	// digest hash collision).
+	NotReproduced
+	// Overrun: the ring evicted records after the checkpoint, so the
+	// failing window could not be retransmitted.
+	Overrun
+	// NoCheckpoint: the mismatch came before the first checkpoint, so
+	// there was nothing to revert to.
+	NoCheckpoint
+)
+
 // String renders the report as the co-simulation's final bug analysis.
 func (r *Report) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "=== Replay report ===\n")
 	fmt.Fprintf(&sb, "fused-level detection : %v\n", r.Original)
-	if r.Detailed != nil {
+	switch {
+	case r.Outcome == Overrun:
+		fmt.Fprintf(&sb, "instruction-level root: replay buffer overrun (%v)\n", r.Err)
+	case r.Detailed != nil:
 		fmt.Fprintf(&sb, "instruction-level root: %v\n", r.Detailed)
-	} else {
+	default:
 		fmt.Fprintf(&sb, "instruction-level root: not reproduced\n")
 	}
 	fmt.Fprintf(&sb, "reverted REF to instruction %d; replayed %d events (%d bytes)\n",
@@ -229,25 +254,24 @@ func (c *Controller) Checkpoint(startToken uint64) {
 func (c *Controller) Run(original *checker.Mismatch) *Report {
 	rep := &Report{Original: original, CheckpointSeq: c.mark.InstrRet()}
 	if !c.haveMark {
-		rep.Detailed = original
+		rep.Outcome, rep.Detailed = NoCheckpoint, original
 		return rep
 	}
 	c.CC.Ref.Revert(c.mark)
 
 	recs, err := c.Buf.Range(original.Core, c.markToken)
 	if err != nil {
-		rep.Detailed = &checker.Mismatch{
-			Core: original.Core, Detail: "replay buffer overrun: " + err.Error(),
-		}
+		rep.Outcome, rep.Err = Overrun, err
 		return rep
 	}
 
 	const contextLen = 8
+	rep.Outcome = NotReproduced
 	for _, rec := range recs {
 		rep.Replayed++
 		rep.ReplayedBytes += len(rec.Data)
 		if m := c.CC.Process(rec); m != nil {
-			rep.Detailed = m
+			rep.Outcome, rep.Detailed = Localized, m
 			break
 		}
 	}
