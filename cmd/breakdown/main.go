@@ -14,13 +14,8 @@ import (
 func main() {
 	instrs := flag.Uint64("instrs", experiments.DefaultInstrs, "dynamic instructions per run")
 	workers := flag.Int("workers", 0, "concurrent co-simulations per sweep (0 = GOMAXPROCS)")
-	tune := flag.Int("autotune", 0,
-		"also run the AIMD auto-tuner for this many rounds per configuration and report fixed-vs-tuned throughput with the controller's decisions (0 = off)")
 	flag.Parse()
 	experiments.Workers = *workers
 	fmt.Println(experiments.Table5(*instrs))
 	fmt.Println(experiments.PipelineOccupancy(*instrs))
-	if *tune > 0 {
-		fmt.Println(experiments.AutotuneOccupancy(*instrs, *tune))
-	}
 }

@@ -66,11 +66,8 @@ func main() {
 			"with -remote -resume: cap on the reconnect delay (0 = transport default)")
 		stall = flag.Duration("stall", 0,
 			"with -remote: declare a silently hung connection dead after this long without progress (0 = wait forever)")
-		autotune = flag.Bool("autotune", false,
-			"steer QueueDepth, PacketBytes, and the token window with the AIMD controller instead of the fixed platform constants; with -executed, sweeps EB/EBIN/EBINSD and prints a fixed-vs-tuned table")
-		tuneRounds = flag.Int("tune-rounds", 4, "with -autotune: tuning rounds per configuration")
-		verbose    = flag.Bool("v", false, "print communication counters")
-		list       = flag.Bool("list", false, "list DUTs, workloads, and bugs")
+		verbose = flag.Bool("v", false, "print communication counters")
+		list    = flag.Bool("list", false, "list DUTs, workloads, and bugs")
 	)
 	flag.Parse()
 
@@ -127,18 +124,6 @@ func main() {
 		}, freshHooks)
 		exitOn(err)
 		printComparison(cmp)
-		if *autotune {
-			if *bugID != "" {
-				exitOn(fmt.Errorf("-autotune needs a clean workload, not -bug"))
-			}
-			reps, err := cosim.AutoTuneSweep(cosim.Params{
-				DUT: d, Platform: p, Opt: o, Workload: wl, Seed: *seed,
-				Ctx: ctx, RemoteAddr: remoteSpec, RemoteCfg: remoteCfg,
-			}, *tuneRounds, nil)
-			exitOn(err)
-			fmt.Println()
-			printAutotune(reps, *verbose)
-		}
 		for _, row := range cmp.Rows {
 			if row.Modeled.Mismatch != nil || row.Executed.Mismatch != nil ||
 				(row.Remote != nil && row.Remote.Mismatch != nil) ||
@@ -146,19 +131,6 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		return
-	}
-
-	if *autotune {
-		if *bugID != "" {
-			exitOn(fmt.Errorf("-autotune needs a clean workload, not -bug"))
-		}
-		rep, err := cosim.AutoTune(cosim.Params{
-			DUT: d, Platform: p, Opt: o, Workload: wl, Seed: *seed,
-			Ctx: ctx, RemoteAddr: remoteSpec, RemoteCfg: remoteCfg,
-		}, *tuneRounds)
-		exitOn(err)
-		printAutotune([]*cosim.AutoTuneReport{rep}, true)
 		return
 	}
 
@@ -340,41 +312,6 @@ func printComparison(cmp *cosim.ModeComparison) {
 	if anyDegraded {
 		fmt.Println("      'degraded' rows lost their difftestd session beyond the retry budget;")
 		fmt.Println("      their verdicts come from the in-process rerun and are still authoritative")
-	}
-}
-
-// printAutotune renders the fixed-vs-tuned comparison: each configuration's
-// throughput under the platform constants (round 0) against the best the
-// AIMD controller found, with the winning knobs. Round 0 is always a
-// candidate for best, so Gain never drops below 1.00x. With decisions set,
-// every controller step is listed underneath — the same trajectory
-// cmd/breakdown surfaces in its occupancy report.
-func printAutotune(reps []*cosim.AutoTuneReport, decisions bool) {
-	fmt.Println("Auto-tuned pipeline settings (fixed constants vs AIMD controller):")
-	header := []string{"Config", "Fixed instrs/s", "Tuned instrs/s", "Gain",
-		"Best knobs", "Best round", "Rounds"}
-	var rows [][]string
-	for _, rep := range reps {
-		rows = append(rows, []string{
-			rep.Config,
-			fmt.Sprintf("%.0f", rep.FixedScore()),
-			fmt.Sprintf("%.0f", rep.BestScore),
-			fmt.Sprintf("%.2fx", rep.Gain()),
-			rep.Best.String(),
-			fmt.Sprint(rep.BestRound),
-			fmt.Sprint(len(rep.Rounds)),
-		})
-	}
-	fmt.Print(stats.Table(header, rows))
-	fmt.Println("note: round 0 measures the fixed platform constants, so tuned ≥ fixed by construction;")
-	fmt.Println("      scores are executed wall-clock instrs/s and vary with host load")
-	if decisions {
-		for _, rep := range reps {
-			fmt.Printf("\n%s controller trajectory:\n", rep.Config)
-			for _, r := range rep.Rounds {
-				fmt.Printf("  %s  [%.0f instrs/s]\n", r.Decision, r.Score)
-			}
-		}
 	}
 }
 

@@ -136,13 +136,6 @@ type Params struct {
 	// Trace, when set, receives every monitor cycle (tuning toolkit §5:
 	// dump once, re-drive the verification logic without the DUT).
 	Trace *trace.Writer
-
-	// Tuning, when set, overrides the platform's fixed pipeline constants:
-	// QueueDepth and PacketBytes replace the Platform values, and Window is
-	// requested from a remote server via Hello.WindowRequest. The
-	// auto-tuner (AutoTune) sets it per round; fixed-constant runs leave it
-	// nil. Zero fields keep the platform value.
-	Tuning *pipeline.Knobs
 }
 
 // Result reports a run's outcome and performance accounting.
@@ -232,21 +225,11 @@ func Run(p Params) (*Result, error) {
 	return r.res, nil
 }
 
-// newRunner validates p, applies its defaults and overrides, and builds both
-// sides of the run.
+// newRunner validates p, applies its defaults, and builds both sides of the
+// run.
 func newRunner(p Params) (*runner, error) {
 	if p.MaxCycles == 0 {
 		p.MaxCycles = 100_000_000
-	}
-	if p.Tuning != nil {
-		// Params carries the platform by value, so the override is local to
-		// this run.
-		if p.Tuning.QueueDepth > 0 {
-			p.Platform.QueueDepth = p.Tuning.QueueDepth
-		}
-		if p.Tuning.PacketBytes > 0 {
-			p.Platform.PacketBytes = p.Tuning.PacketBytes
-		}
 	}
 	opt := p.Opt
 	if opt.FixedOffset && p.DUT.Cores > 1 {

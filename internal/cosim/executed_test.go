@@ -201,3 +201,28 @@ func TestCompareModes(t *testing.T) {
 		}
 	}
 }
+
+// TestPlatformPipelineConstants: a run's queue bound and packet size come
+// from its Platform's QueueDepth and PacketBytes, on both the executed
+// pipeline and the modeled link.
+func TestPlatformPipelineConstants(t *testing.T) {
+	p := executedParams("EBIN", true)
+	p.Workload = scaled(workload.LinuxBoot(), 4_000)
+	// A queue bound of 1 forces near-lockstep pipelining; the run must still
+	// verify cleanly and report the tightened queue in its metrics.
+	p.Platform.QueueDepth = 1
+	p.Platform.PacketBytes = 2048
+	res := run(t, p)
+	if res.Mismatch != nil {
+		t.Fatalf("mismatch with QueueDepth 1 / PacketBytes 2048: %v", res.Mismatch)
+	}
+	if res.Exec.QueuePeak > 1 {
+		t.Fatalf("queue peak %d with QueueDepth 1", res.Exec.QueuePeak)
+	}
+	// EBIN sends every packet whole, so each modeled transfer is exactly
+	// PacketBytes on the link.
+	if res.Invokes == 0 || res.WireBytes != res.Invokes*2048 {
+		t.Fatalf("link carried %d B in %d invokes, want 2048 B per invoke",
+			res.WireBytes, res.Invokes)
+	}
+}

@@ -47,9 +47,6 @@ func (r *runner) helloFor() transport.Hello {
 		wl := r.p.Workload
 		h.Profile = &wl
 	}
-	if r.p.Tuning != nil {
-		h.WindowRequest = r.p.Tuning.Window
-	}
 	return h
 }
 

@@ -47,39 +47,3 @@ func PipelineOccupancy(instrs uint64) *Report {
 		"backpressure counts producer sends that found the bounded queue full (blocking configs: every transfer stalls on the ack instead)")
 	return r
 }
-
-// AutotuneOccupancy reports the AIMD controller's tuning trajectory per
-// configuration: the fixed platform constants' throughput (round 0), the
-// best-scoring settings the controller found, and every per-round decision
-// as notes. This is PipelineOccupancy's closed-loop companion — the
-// occupancy table shows what the fixed constants deliver, this one what
-// steering QueueDepth/PacketBytes/window from the same live metrics buys.
-func AutotuneOccupancy(instrs uint64, rounds int) *Report {
-	r := &Report{
-		ID: "Autotune", Title: "Auto-tuned pipeline settings (XiangShan/Palladium)",
-		Header: []string{"Config", "Fixed instrs/s", "Tuned instrs/s", "Gain", "Best knobs", "Best round"},
-	}
-	wl := scale(workload.LinuxBoot(), instrs)
-	p := baseParams(dut.XiangShanDefault(), platform.Palladium(), "EB", wl)
-	reps, err := cosim.AutoTuneSweep(p, rounds, nil)
-	if err != nil {
-		r.Notes = append(r.Notes, "autotune failed: "+err.Error())
-		return r
-	}
-	for _, rep := range reps {
-		r.Rows = append(r.Rows, []string{
-			rep.Config,
-			fmt.Sprintf("%.0f", rep.FixedScore()),
-			fmt.Sprintf("%.0f", rep.BestScore),
-			fmt.Sprintf("%.2fx", rep.Gain()),
-			rep.Best.String(),
-			fmt.Sprint(rep.BestRound),
-		})
-		for _, round := range rep.Rounds {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s %s", rep.Config, round.Decision))
-		}
-	}
-	r.Notes = append(r.Notes,
-		"round 0 measures the fixed platform constants, so tuned ≥ fixed by construction")
-	return r
-}

@@ -62,14 +62,6 @@ func sortU32(fs []uint32) {
 	sort.Slice(fs, func(i, j int) bool { return fs[i] < fs[j] })
 }
 
-// FeatureDomains names the encoding for reports and tests.
-func FeatureDomains() map[int]string {
-	return map[int]string{
-		domKind: "kind", domPair: "pair", domAdj: "adjacency",
-		domProx: "proximity", domBreak: "break-rate",
-	}
-}
-
 // proxFeature is a test hook: the feature a given proximity counter value
 // maps to (Prox indexing mirrors checker's Prox* constants).
 func proxFeature(idx int, count uint64) uint32 { return feature(domProx, idx, count) }

@@ -115,49 +115,3 @@ const (
 
 // InterruptBit is OR-ed into mcause for interrupt traps.
 const InterruptBit uint64 = 1 << 63
-
-// CauseName renders an mcause value for debug reports.
-func CauseName(cause uint64) string {
-	if cause&InterruptBit != 0 {
-		switch cause &^ InterruptBit {
-		case IntSoftwareM:
-			return "machine software interrupt"
-		case IntTimerM:
-			return "machine timer interrupt"
-		case IntExternalM:
-			return "machine external interrupt"
-		case IntVirtual:
-			return "virtual external interrupt"
-		}
-		return fmt.Sprintf("interrupt %d", cause&^InterruptBit)
-	}
-	switch cause {
-	case ExcInstrAddrMisaligned:
-		return "instruction address misaligned"
-	case ExcIllegalInstr:
-		return "illegal instruction"
-	case ExcBreakpoint:
-		return "breakpoint"
-	case ExcLoadAddrMisaligned:
-		return "load address misaligned"
-	case ExcLoadAccessFault:
-		return "load access fault"
-	case ExcStoreAddrMisaligned:
-		return "store address misaligned"
-	case ExcStoreAccessFault:
-		return "store access fault"
-	case ExcEcallM:
-		return "ecall from M-mode"
-	case ExcInstrPageFault:
-		return "instruction page fault"
-	case ExcLoadPageFault:
-		return "load page fault"
-	case ExcStorePageFault:
-		return "store page fault"
-	case ExcGuestLoadPageFault:
-		return "guest load page fault"
-	case ExcGuestStorePageFault:
-		return "guest store page fault"
-	}
-	return fmt.Sprintf("exception %d", cause)
-}

@@ -115,6 +115,12 @@ func (m *Metrics) MeanQueueDepth() float64 {
 // Overlap returns the wall-clock time during which producer and consumer
 // were provably busy simultaneously: busy time that did not fit into the
 // elapsed window must have been concurrent.
+//
+// It is a lower bound, not a measurement of the overlap itself. Every
+// stretch in which neither stage is inside its call (a wake-up after a
+// handoff, a goroutine waiting for a CPU) cancels the same stretch of real
+// overlap, so on an oversubscribed host it reads 0 even while the stages
+// overlap and the non-blocking run beats the blocking one.
 func (m *Metrics) Overlap() time.Duration {
 	over := m.ProducerBusy + m.ConsumerBusy - m.Wall
 	if over < 0 {
@@ -123,7 +129,8 @@ func (m *Metrics) Overlap() time.Duration {
 	return over
 }
 
-// OverlapShare returns Overlap as a fraction of wall-clock time.
+// OverlapShare returns Overlap as a fraction of wall-clock time. It is the
+// same lower bound: 0 on a busy host does not mean the stages ran in turn.
 func (m *Metrics) OverlapShare() float64 {
 	if m.Wall <= 0 {
 		return 0

@@ -67,15 +67,6 @@ func (db *DB) Exec(query string) (*Result, error) {
 	return nil, fmt.Errorf("sql: unhandled statement %T", s)
 }
 
-// MustExec executes and panics on error (test/tool convenience).
-func (db *DB) MustExec(query string) *Result {
-	r, err := db.Exec(query)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // CreateTable declares a table programmatically (fast path for recorders).
 func (db *DB) CreateTable(name string, cols ...ColumnDef) (*Table, error) {
 	key := strings.ToLower(name)

@@ -43,13 +43,6 @@ type Hello struct {
 	// token window by the tenant's fair share; a bare difftestd shard
 	// ignores it. Empty means the default tenant.
 	Tenant string `json:"tenant,omitempty"`
-
-	// WindowRequest, when positive, asks for at most this many tokens
-	// instead of the server's configured window; the server grants
-	// min(ServerConfig.Window, WindowRequest). The auto-tuner uses it to
-	// steer the credit window from the client side without reconfiguring
-	// the server. Zero keeps the server's default.
-	WindowRequest int `json:"window_request,omitempty"`
 }
 
 // Welcome is the server's session grant: the negotiated protocol, the

@@ -307,19 +307,11 @@ func (s *Server) openSession(conn FrameTransport, h FrameHeader, payload []byte)
 		return
 	}
 
-	// The client may request a smaller credit window than the server's
-	// configured one (the auto-tuner steers it per round); the grant is the
-	// minimum of the two, so the server's bound stays authoritative.
-	window := s.cfg.Window
-	if hello.WindowRequest > 0 && hello.WindowRequest < window {
-		window = hello.WindowRequest
-	}
-
 	id := s.nextID.Add(1)
 	sn := &session{
 		id:     id,
 		token:  (id*0x9e3779b97f4a7c15 ^ s.tokenSalt) | 1,
-		window: window,
+		window: s.cfg.Window,
 		sess:   chk,
 	}
 	s.active.Add(1)

@@ -362,36 +362,6 @@ func TestServerShutdownRefusesNewSessions(t *testing.T) {
 	}
 }
 
-func TestServerHonorsWindowRequest(t *testing.T) {
-	_, spec := startServer(t, ServerConfig{
-		NewSession: stubSessions(func() *stubChecker { return &stubChecker{} }),
-		Window:     16,
-	})
-
-	// A smaller request shrinks the grant to min(configured, requested)...
-	h := testHello()
-	h.WindowRequest = 4
-	cl, err := Dial(spec, h, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cl.Window(); got != 4 {
-		t.Fatalf("granted window %d, want the requested 4", got)
-	}
-	cl.Close()
-
-	// ...while a larger request is capped at the server's bound.
-	h.WindowRequest = 64
-	cl, err = Dial(spec, h, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if got := cl.Window(); got != 16 {
-		t.Fatalf("granted window %d, want the server's 16", got)
-	}
-}
-
 // TestConsumeRejectsNonDataFrames pins the consume() dispatch fix: the old
 // switch read `default: // FrameItems`, so any unexpected frame type was
 // silently decoded as bare wire items. The payload below decodes cleanly as

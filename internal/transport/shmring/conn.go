@@ -123,9 +123,6 @@ func newConn(seg *segment, r role, remote string) *Conn {
 	return c
 }
 
-// RingBytes reports the per-direction ring capacity.
-func (c *Conn) RingBytes() int { return c.seg.ringBytes }
-
 // MaxPayload reports the largest payload one frame can carry on this ring.
 func (c *Conn) MaxPayload() int { return maxPayload(c.seg.ringBytes) }
 
