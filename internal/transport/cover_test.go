@@ -213,18 +213,21 @@ func TestParkedSessionReapedAfterWindow(t *testing.T) {
 	}
 	conn.Close() // vanish mid-session: the server parks it
 
+	// The park counter moves inside the session goroutine, before its
+	// deferred ActiveSessions decrement runs, so wait for both.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if parked, _ := srv.ResumeStats(); parked > 0 {
+		parked, _ := srv.ResumeStats()
+		if parked > 0 && srv.ActiveSessions() == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("session was never parked")
+			if parked == 0 {
+				t.Fatal("session was never parked")
+			}
+			t.Fatalf("ActiveSessions() = %d after the only connection closed", srv.ActiveSessions())
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if srv.ActiveSessions() != 0 {
-		t.Fatalf("ActiveSessions() = %d after the only connection closed", srv.ActiveSessions())
 	}
 	time.Sleep(60 * time.Millisecond) // let the resume window lapse
 
