@@ -18,10 +18,10 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -copylocks -loopclosure ./...
 
-# Project-specific static analysis (cmd/difftestlint): wire-struct layout,
-# pool release discipline, use-after-release, Kind-switch exhaustiveness,
-# atomic-word access discipline, deadline arm/clear pairing, and frame-kind
-# dispatch exhaustiveness. difftestlint runs only as a go vet tool, over
+# Project-specific static analysis (cmd/difftestlint): pool release
+# discipline, use-after-release, Kind-switch exhaustiveness, atomic-word
+# access discipline, deadline arm/clear pairing, and frame-kind dispatch
+# exhaustiveness. difftestlint runs only as a go vet tool, over
 # every package including its _test.go files; a stale or malformed
 # //lint:ignore fails the run like any other finding.
 lint:

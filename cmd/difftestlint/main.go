@@ -1,7 +1,6 @@
 // Command difftestlint is the project's static-analysis suite — the
-// wirestruct, poolcheck, useafterrelease, kindswitch, atomicfield,
-// deadlinepair, and framekind analyzers from internal/lint — packaged as a
-// go vet tool:
+// poolcheck, useafterrelease, kindswitch, atomicfield, deadlinepair, and
+// framekind analyzers from internal/lint — packaged as a go vet tool:
 //
 //	go build -o bin/difftestlint ./cmd/difftestlint
 //	go vet -vettool=$(pwd)/bin/difftestlint ./...

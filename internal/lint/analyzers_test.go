@@ -7,10 +7,6 @@ import (
 	"repro/internal/lint/linttest"
 )
 
-func TestWireStruct(t *testing.T) {
-	linttest.Run(t, "testdata/wirestruct", lint.WireStruct)
-}
-
 func TestPoolCheck(t *testing.T) {
 	linttest.Run(t, "testdata/poolcheck", lint.PoolCheck)
 }
@@ -35,13 +31,13 @@ func TestFrameKind(t *testing.T) {
 	linttest.Run(t, "testdata/framekind", lint.FrameKind)
 }
 
-// TestAllAndByName: All lists the seven analyzers, each documented and
+// TestAllAndByName: All lists the six analyzers, each documented and
 // addressable by a unique name (the name findings and //lint:ignore
 // directives carry).
 func TestAllAndByName(t *testing.T) {
 	all := lint.All()
-	if len(all) != 7 {
-		t.Fatalf("All() = %d analyzers, want 7", len(all))
+	if len(all) != 6 {
+		t.Fatalf("All() = %d analyzers, want 6", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -233,7 +233,7 @@ func (af *atomicFieldPass) collectAtomicAccesses(file *ast.File) {
 			return true
 		}
 		// sync/atomic free function taking &x: the word becomes atomic.
-		if obj := calleeObj(af.Info, call); obj != nil {
+		if obj := exprObj(af.Info, call.Fun); obj != nil {
 			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
 				for _, arg := range call.Args {
 					af.recordAtomicArg(arg)

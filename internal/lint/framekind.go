@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/types"
@@ -59,8 +58,14 @@ func runFrameKind(pass *Pass) error {
 		return nil
 	}
 	kindConsts := make(map[types.Object]bool, len(kinds))
+	rule := &coverageRule{
+		maxShown: 5,
+		format:   "frame dispatch covers %d of %d frame kinds (missing %s); name every kind explicitly — the default arm is for corruption, not new control frames",
+	}
 	for _, c := range kinds {
 		kindConsts[c] = true
+		v, _ := constant.Int64Val(constant.ToInt(c.Val()))
+		rule.members = append(rule.members, enumConst{name: c.Name(), val: v})
 	}
 
 	for _, file := range pass.Files {
@@ -76,7 +81,7 @@ func runFrameKind(pass *Pass) error {
 			if !mentionsFrameKind(pass, sw, kindConsts) {
 				return true
 			}
-			checkFrameSwitch(pass, sw, kinds)
+			rule.check(pass, sw)
 			return true
 		})
 	}
@@ -127,55 +132,4 @@ func mentionsFrameKind(pass *Pass, sw *ast.SwitchStmt, kindConsts map[types.Obje
 		}
 	}
 	return false
-}
-
-// exprObj resolves an identifier or selector expression to its object.
-func exprObj(info *types.Info, e ast.Expr) types.Object {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return info.Uses[x]
-	case *ast.SelectorExpr:
-		return info.Uses[x.Sel]
-	}
-	return nil
-}
-
-func checkFrameSwitch(pass *Pass, sw *ast.SwitchStmt, kinds []*types.Const) {
-	covered := make(map[int64]bool)
-	for _, clause := range sw.Body.List {
-		cc, ok := clause.(*ast.CaseClause)
-		if !ok || cc.List == nil {
-			continue // default arm: corruption path, no coverage credit
-		}
-		for _, e := range cc.List {
-			tv, ok := pass.Info.Types[e]
-			if !ok || tv.Value == nil {
-				continue
-			}
-			if v, ok := constant.Int64Val(constant.ToInt(tv.Value)); ok {
-				covered[v] = true
-			}
-		}
-	}
-
-	var missing []string
-	for _, c := range kinds {
-		v, _ := constant.Int64Val(constant.ToInt(c.Val()))
-		if !covered[v] {
-			missing = append(missing, c.Name())
-		}
-	}
-	if len(missing) == 0 {
-		return
-	}
-	shown := missing
-	const maxShown = 5
-	suffix := ""
-	if len(shown) > maxShown {
-		suffix = fmt.Sprintf(", … %d more", len(shown)-maxShown)
-		shown = shown[:maxShown]
-	}
-	pass.Reportf(sw.Pos(),
-		"frame dispatch covers %d of %d frame kinds (missing %s%s); name every kind explicitly — the default arm is for corruption, not new control frames",
-		len(kinds)-len(missing), len(kinds), strings.Join(shown, ", "), suffix)
 }

@@ -33,7 +33,12 @@ func runKindSwitch(pass *Pass) error {
 	if !ok {
 		return nil
 	}
-	names := kindNamesByValue(evPkg, kindType, numKinds)
+	rule := &coverageRule{
+		members:       kindMembers(evPkg, kindType, numKinds),
+		defaultCovers: true,
+		maxShown:      4,
+		format:        "switch over event.Kind has no default clause and covers %d of %d kinds (missing %s) — a new kind would silently fall through",
+	}
 
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -45,11 +50,20 @@ func runKindSwitch(pass *Pass) error {
 			if !ok || !types.Identical(tv.Type, kindType) {
 				return true
 			}
-			checkKindSwitch(pass, sw, numKinds, names)
+			rule.check(pass, sw)
 			return true
 		})
 	}
 	return nil
+}
+
+// scopeType looks up a named type in pkg's scope.
+func scopeType(pkg *types.Package, name string) types.Type {
+	tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+	if !ok {
+		return nil
+	}
+	return tn.Type()
 }
 
 // kindCount reads the NumKinds sentinel constant from the event package.
@@ -62,8 +76,9 @@ func kindCount(evPkg *types.Package, kindType types.Type) (int64, bool) {
 	return v, ok
 }
 
-// kindNamesByValue maps each kind value to its declared constant name.
-func kindNamesByValue(evPkg *types.Package, kindType types.Type, numKinds int64) map[int64]string {
+// kindMembers lists the kinds below numKinds, each under its declared
+// constant name (Kind(n) when it has none), sorted by name.
+func kindMembers(evPkg *types.Package, kindType types.Type, numKinds int64) []enumConst {
 	names := make(map[int64]string)
 	scope := evPkg.Scope()
 	for _, name := range scope.Names() {
@@ -80,18 +95,46 @@ func kindNamesByValue(evPkg *types.Package, kindType types.Type, numKinds int64)
 			names[v] = name
 		}
 	}
-	return names
+	members := make([]enumConst, numKinds)
+	for v := range members {
+		name := names[int64(v)]
+		if name == "" {
+			name = fmt.Sprintf("Kind(%d)", v)
+		}
+		members[v] = enumConst{name: name, val: int64(v)}
+	}
+	sort.Slice(members, func(i, j int) bool { return members[i].name < members[j].name })
+	return members
 }
 
-func checkKindSwitch(pass *Pass, sw *ast.SwitchStmt, numKinds int64, names map[int64]string) {
+// enumConst is one member of an enum a switch must cover.
+type enumConst struct {
+	name string
+	val  int64
+}
+
+// coverageRule is the exhaustiveness check kindswitch and framekind share:
+// a switch's constant cases must name every member of an enum.
+type coverageRule struct {
+	members       []enumConst // in the order a finding lists missing ones
+	defaultCovers bool        // a default clause satisfies the rule
+	maxShown      int         // missing members named before "… N more"
+	format        string      // takes covered count, member count, missing list
+}
+
+// check reports sw when its cases leave members uncovered.
+func (r *coverageRule) check(pass *Pass, sw *ast.SwitchStmt) {
 	covered := make(map[int64]bool)
-	for _, c := range sw.Body.List {
-		cc, ok := c.(*ast.CaseClause)
+	for _, clause := range sw.Body.List {
+		cc, ok := clause.(*ast.CaseClause)
 		if !ok {
 			continue
 		}
 		if cc.List == nil {
-			return // default clause: new kinds cannot fall through silently
+			if r.defaultCovers {
+				return
+			}
+			continue
 		}
 		for _, e := range cc.List {
 			tv, ok := pass.Info.Types[e]
@@ -105,27 +148,17 @@ func checkKindSwitch(pass *Pass, sw *ast.SwitchStmt, numKinds int64, names map[i
 	}
 
 	var missing []string
-	for v := int64(0); v < numKinds; v++ {
-		if !covered[v] {
-			name := names[v]
-			if name == "" {
-				name = fmt.Sprintf("Kind(%d)", v)
-			}
-			missing = append(missing, name)
+	for _, m := range r.members {
+		if !covered[m.val] {
+			missing = append(missing, m.name)
 		}
 	}
 	if len(missing) == 0 {
 		return
 	}
-	sort.Strings(missing)
 	shown := missing
-	const maxShown = 4
-	suffix := ""
-	if len(shown) > maxShown {
-		suffix = fmt.Sprintf(", … %d more", len(shown)-maxShown)
-		shown = shown[:maxShown]
+	if len(shown) > r.maxShown {
+		shown = append(shown[:r.maxShown:r.maxShown], fmt.Sprintf("… %d more", len(missing)-r.maxShown))
 	}
-	pass.Reportf(sw.Pos(),
-		"switch over event.Kind has no default clause and covers %d of %d kinds (missing %s%s) — a new kind would silently fall through",
-		numKinds-int64(len(missing)), numKinds, strings.Join(shown, ", "), suffix)
+	pass.Reportf(sw.Pos(), r.format, len(r.members)-len(missing), len(r.members), strings.Join(shown, ", "))
 }

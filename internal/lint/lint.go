@@ -1,8 +1,7 @@
 // Package lint is a small, stdlib-only static-analysis framework plus the
-// seven project-specific analyzers behind cmd/difftestlint. It exists
+// six project-specific analyzers behind cmd/difftestlint. It exists
 // because the correctness of the Batch/Squash/Replay stack rests on
-// invariants the compiler cannot see: every event payload struct must stay
-// fixed-size and pointer-free (wirestruct), every pooled buffer must return
+// invariants the compiler cannot see: every pooled buffer must return
 // to the pool on every control-flow path (poolcheck), no pooled bytes may
 // be read after release (useafterrelease), every switch over event.Kind
 // must stay exhaustive as kinds are added (kindswitch), words accessed
@@ -290,10 +289,6 @@ func isFaultnetPath(path string) bool {
 	return path == "repro/internal/faultnet" || strings.HasSuffix(path, "/internal/faultnet")
 }
 
-func isShmringPath(path string) bool {
-	return path == "repro/internal/transport/shmring" || strings.HasSuffix(path, "/transport/shmring")
-}
-
 // eventFunc reports whether obj is the named function from the event package.
 func eventFunc(obj types.Object, name string) bool {
 	fn, ok := obj.(*types.Func)
@@ -303,14 +298,14 @@ func eventFunc(obj types.Object, name string) bool {
 	return isEventPath(fn.Pkg().Path())
 }
 
-// calleeObj resolves the object a call expression invokes, unwrapping
-// parens; nil for indirect calls through non-identifiers.
-func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
+// exprObj resolves an identifier or selector expression, such as a call's
+// Fun, to its object; nil for anything else.
+func exprObj(info *types.Info, e ast.Expr) types.Object {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		return info.Uses[fun]
+		return info.Uses[x]
 	case *ast.SelectorExpr:
-		return info.Uses[fun.Sel]
+		return info.Uses[x.Sel]
 	}
 	return nil
 }

@@ -140,7 +140,7 @@ func (pc *poolChecker) stmt(s ast.Stmt, st *poolState) bool {
 			if pc.releaseCall(call, st) {
 				return false
 			}
-			if eventFunc(calleeObj(pc.pass.Info, call), "GetBuf") {
+			if eventFunc(exprObj(pc.pass.Info, call.Fun), "GetBuf") {
 				pc.pass.Reportf(call.Pos(), "result of event.GetBuf is discarded: the buffer can never be returned to the pool")
 				return false
 			}
@@ -437,7 +437,7 @@ func (pc *poolChecker) carriers(e ast.Expr, st *poolState) (owners []types.Objec
 		}
 		return owners, acquirePos
 	case *ast.CallExpr:
-		if eventFunc(calleeObj(pc.pass.Info, e), "GetBuf") {
+		if eventFunc(exprObj(pc.pass.Info, e.Fun), "GetBuf") {
 			return nil, e.Pos()
 		}
 		// A single-value call with a live owner among its arguments may
@@ -476,7 +476,7 @@ func (pc *poolChecker) carriers(e ast.Expr, st *poolState) (owners []types.Objec
 // releaseCall handles event.PutBuf(x) and pkt.Release(); true if the call
 // was a release.
 func (pc *poolChecker) releaseCall(call *ast.CallExpr, st *poolState) bool {
-	obj := calleeObj(pc.pass.Info, call)
+	obj := exprObj(pc.pass.Info, call.Fun)
 	if eventFunc(obj, "PutBuf") {
 		for _, arg := range call.Args {
 			owners, _ := pc.carriers(arg, st)
@@ -658,7 +658,7 @@ func findGetBufCall(info *types.Info, e ast.Expr) *ast.CallExpr {
 		if found != nil {
 			return false
 		}
-		if c, ok := n.(*ast.CallExpr); ok && eventFunc(calleeObj(info, c), "GetBuf") {
+		if c, ok := n.(*ast.CallExpr); ok && eventFunc(exprObj(info, c.Fun), "GetBuf") {
 			found = c
 			return false
 		}
@@ -702,11 +702,10 @@ func isPacketRelease(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // isAdoptCall reports whether call is an ownership-transferring Adopt*
-// method on a faultnet or shmring type. The naming convention is
-// load-bearing: any method of those packages whose name starts with "Adopt"
-// takes over the pooled buffers among its arguments — faultnet's journal
-// keeps the snapshot until Release, the ring's AdoptWriteFrame stages the
-// payload and returns the buffer to the pool itself — so no PutBuf follows.
+// method on a faultnet type. The naming convention is load-bearing: any
+// method of that package whose name starts with "Adopt" takes over the
+// pooled buffers among its arguments — faultnet's journal keeps the
+// snapshot until Release — so no PutBuf follows.
 func isAdoptCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !strings.HasPrefix(sel.Sel.Name, "Adopt") {
@@ -720,8 +719,7 @@ func isAdoptCall(info *types.Info, call *ast.CallExpr) bool {
 	if recv == nil || fn.Pkg() == nil {
 		return false
 	}
-	path := fn.Pkg().Path()
-	return isFaultnetPath(path) || isShmringPath(path)
+	return isFaultnetPath(fn.Pkg().Path())
 }
 
 // isTerminalCall reports calls that never return: panic, os.Exit,

@@ -9,7 +9,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/event"
 	"repro/internal/faultnet"
-	"repro/internal/transport/shmring"
 )
 
 var errBoom = errors.New("boom")
@@ -219,22 +218,12 @@ func adoptedByJournal(j *faultnet.Journal, p []byte) {
 	j.AdoptFrame("write", 0, snap)
 }
 
-// adoptedByRing stages the payload through the shared-memory ring's
-// AdoptWriteFrame: the ring copies the bytes into the mapped segment and
-// returns the buffer to the pool itself, so — like faultnet's journal — the
-// caller needs no PutBuf and no lint:ignore.
-func adoptedByRing(c *shmring.Conn, p []byte) {
-	buf := event.GetBuf(len(p))
-	buf = append(buf, p...)
-	c.AdoptWriteFrame(1, buf)
-}
-
 type sink struct{}
 
 func (sink) AdoptBuf(b []byte) {}
 
-// adoptNamesake: the Adopt* convention is scoped to faultnet and shmring
-// types; a lookalike method elsewhere does not transfer ownership.
+// adoptNamesake: the Adopt* convention is scoped to faultnet types; a
+// lookalike method elsewhere does not transfer ownership.
 func adoptNamesake(s sink) {
 	buf := event.GetBuf(8) // want `not released`
 	s.AdoptBuf(buf)

@@ -106,7 +106,7 @@ func (ua *uarChecker) releaseTarget(s ast.Stmt) (types.Object, token.Pos) {
 	if !ok {
 		return nil, token.NoPos
 	}
-	if eventFunc(calleeObj(ua.pass.Info, call), "PutBuf") && len(call.Args) == 1 {
+	if eventFunc(exprObj(ua.pass.Info, call.Fun), "PutBuf") && len(call.Args) == 1 {
 		if obj := localVar(ua.pass.Info, call.Args[0]); obj != nil {
 			return obj, call.Pos()
 		}
@@ -206,7 +206,7 @@ func (ua *uarChecker) checkRetainedAliases(body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		if eventFunc(calleeObj(ua.pass.Info, call), "PutBuf") && len(call.Args) == 1 {
+		if eventFunc(exprObj(ua.pass.Info, call.Fun), "PutBuf") && len(call.Args) == 1 {
 			if obj := localVar(ua.pass.Info, call.Args[0]); obj != nil {
 				releasedVars[obj] = true
 			}

@@ -1,155 +1,12 @@
-// Package stats provides the performance counters and histograms of the
-// DiffTest-H tuning toolkit (paper §5, "Performance evaluation support"):
-// software-side counters for transmission counts and volumes, and
-// hardware-side counters for fusion ratios and packet utilization.
+// Package stats renders the DiffTest-H tuning toolkit's reports (paper §5,
+// "Performance evaluation support"): the counters themselves live on
+// cosim.Result, and Table lays them out as aligned text.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
-
-// Counter is a named monotonic counter.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Add increments the counter.
-func (c *Counter) Add(n uint64) { c.Value += n }
-
-// Set is an ordered collection of counters.
-type Set struct {
-	names    []string
-	counters map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{counters: make(map[string]*Counter)}
-}
-
-// Counter returns (creating if needed) the named counter.
-func (s *Set) Counter(name string) *Counter {
-	if c, ok := s.counters[name]; ok {
-		return c
-	}
-	c := &Counter{Name: name}
-	s.counters[name] = c
-	s.names = append(s.names, name)
-	return c
-}
-
-// Add increments a named counter.
-func (s *Set) Add(name string, n uint64) { s.Counter(name).Add(n) }
-
-// Get returns a counter's value (0 if absent).
-func (s *Set) Get(name string) uint64 {
-	if c, ok := s.counters[name]; ok {
-		return c.Value
-	}
-	return 0
-}
-
-// Names returns counter names in creation order.
-func (s *Set) Names() []string { return append([]string(nil), s.names...) }
-
-// String renders the set as an aligned report.
-func (s *Set) String() string {
-	var sb strings.Builder
-	w := 0
-	for _, n := range s.names {
-		if len(n) > w {
-			w = len(n)
-		}
-	}
-	for _, n := range s.names {
-		fmt.Fprintf(&sb, "%-*s %12d\n", w, n, s.counters[n].Value)
-	}
-	return sb.String()
-}
-
-// Histogram tracks a distribution with power-of-two buckets.
-type Histogram struct {
-	Name    string
-	buckets [64]uint64
-	count   uint64
-	sum     uint64
-	min     uint64
-	max     uint64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram(name string) *Histogram {
-	return &Histogram{Name: name, min: math.MaxUint64}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	b := 0
-	for x := v; x > 0; x >>= 1 {
-		b++
-	}
-	h.buckets[b]++
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample.
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1) at
-// power-of-two resolution.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.count))
-	var cum uint64
-	for b, n := range h.buckets {
-		cum += n
-		if cum > target {
-			if b == 0 {
-				return 0
-			}
-			return 1<<uint(b) - 1
-		}
-	}
-	return h.max
-}
-
-// String renders a compact summary.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("%s: n=%d mean=%.1f min=%d p50≤%d p99≤%d max=%d",
-		h.Name, h.count, h.Mean(), h.Min(), h.Quantile(0.5), h.Quantile(0.99), h.max)
-}
 
 // Table formats rows of columns with aligned widths — the report helper the
 // experiment harnesses share.
@@ -185,20 +42,4 @@ func Table(header []string, rows [][]string) string {
 		line(row)
 	}
 	return sb.String()
-}
-
-// SortedByValue returns counter names ordered by descending value.
-func (s *Set) SortedByValue() []string {
-	names := s.Names()
-	sort.Slice(names, func(i, j int) bool {
-		return s.Get(names[i]) > s.Get(names[j])
-	})
-	return names
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -5,52 +5,6 @@ import (
 	"testing"
 )
 
-func TestCounterSet(t *testing.T) {
-	s := NewSet()
-	s.Add("tx.packets", 3)
-	s.Add("tx.bytes", 100)
-	s.Add("tx.packets", 2)
-	if s.Get("tx.packets") != 5 || s.Get("tx.bytes") != 100 {
-		t.Errorf("counters: %d %d", s.Get("tx.packets"), s.Get("tx.bytes"))
-	}
-	if s.Get("missing") != 0 {
-		t.Error("missing counter nonzero")
-	}
-	if names := s.Names(); len(names) != 2 || names[0] != "tx.packets" {
-		t.Errorf("names = %v", names)
-	}
-	if !strings.Contains(s.String(), "tx.bytes") {
-		t.Error("report missing counter")
-	}
-	s.Add("small", 1)
-	if top := s.SortedByValue(); top[0] != "tx.bytes" || top[len(top)-1] != "small" {
-		t.Errorf("sorted = %v", top)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram("lat")
-	for i := uint64(1); i <= 1000; i++ {
-		h.Observe(i)
-	}
-	if h.Count() != 1000 || h.Min() != 1 || h.Max() != 1000 {
-		t.Errorf("basic stats: n=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
-	}
-	if m := h.Mean(); m < 500 || m > 501 {
-		t.Errorf("mean = %v", m)
-	}
-	if q := h.Quantile(0.5); q < 255 || q > 1023 {
-		t.Errorf("p50 bound = %d", q)
-	}
-	if h.Quantile(0.99) < h.Quantile(0.5) {
-		t.Error("quantiles not monotone")
-	}
-	var empty Histogram
-	if empty.Mean() != 0 || empty.Min() != 0 || empty.Quantile(0.9) != 0 {
-		t.Error("empty histogram not zero-valued")
-	}
-}
-
 func TestTable(t *testing.T) {
 	out := Table([]string{"name", "value"}, [][]string{{"a", "1"}, {"bb", "22"}})
 	lines := strings.Split(strings.TrimSpace(out), "\n")

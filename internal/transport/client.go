@@ -522,15 +522,11 @@ func (c *Client) redial() (*connGen, error) {
 	conn.SetWriteTimeout(c.cfg.WriteTimeout)
 	conn.SetReadTimeout(c.cfg.DialTimeout)
 
-	c.mu.Lock()
-	acked := c.acked
-	c.mu.Unlock()
 	r := Resume{
 		Proto:   ProtoVersion,
 		Session: c.welcome.Session,
 		Token:   c.welcome.ResumeToken,
 		Sent:    c.dataSent,
-		Acked:   acked,
 	}
 	var ok ResumeOK
 	ei, err := Call(conn, FrameResume, &r, FrameResumeOK, &ok)

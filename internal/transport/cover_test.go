@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"path/filepath"
@@ -137,10 +138,16 @@ func TestParseSpecForms(t *testing.T) {
 	}
 }
 
+// TestFrameHeaderEncodedSize pins the header's field layout to the size its
+// codec writes: a field added or widened without updating FrameHeaderSize,
+// AppendTo and DecodeFrom fails here.
 func TestFrameHeaderEncodedSize(t *testing.T) {
 	var h FrameHeader
 	if h.EncodedSize() != FrameHeaderSize {
 		t.Fatalf("EncodedSize() = %d, want %d", h.EncodedSize(), FrameHeaderSize)
+	}
+	if n := binary.Size(FrameHeader{}); n != FrameHeaderSize {
+		t.Fatalf("FrameHeader field layout is %d bytes, FrameHeaderSize is %d", n, FrameHeaderSize)
 	}
 }
 

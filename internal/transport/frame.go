@@ -119,8 +119,9 @@ const frameCheckOffset = 20
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // FrameHeader is the fixed-size, pointer-free frame prelude. It implements
-// event.WireCodec so difftestlint's wirestruct analyzer pins its layout: any
-// field drift against EncodedSize fails `make lint`.
+// event.WireCodec; TestFrameHeaderEncodedSize pins its field layout to
+// FrameHeaderSize, so a field added without updating the codec fails the
+// transport tests.
 type FrameHeader struct {
 	Magic  uint32
 	Type   uint8

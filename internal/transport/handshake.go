@@ -69,17 +69,14 @@ type Credit struct {
 }
 
 // Resume reopens a parked session on a fresh connection: it is the first
-// frame the client sends instead of Hello. Sent/Acked are the last
-// contiguous data-frame counts each direction saw — Sent is how many data
-// frames the client has transmitted this session, Acked the highest Credit
-// acknowledgement it received — so the server can sanity-check the client's
-// view against its own before replaying anything.
+// frame the client sends instead of Hello. Sent is how many data frames the
+// client has transmitted this session, so the server can sanity-check the
+// client's view against its own count before replaying anything.
 type Resume struct {
 	Proto   uint16 `json:"proto"`
 	Session uint64 `json:"session"`
 	Token   uint64 `json:"token"`
 	Sent    uint64 `json:"sent"`
-	Acked   uint64 `json:"acked"`
 }
 
 // ResumeOK accepts a resume. Have is the server's consumed data-frame count:
@@ -161,15 +158,6 @@ type StatsInfo struct {
 
 	// Shards is the router's per-shard occupancy view (routers only).
 	Shards []ShardStatus `json:"shards,omitempty"`
-}
-
-// Occupancy returns the load fraction Active/Capacity, or -1 when capacity
-// is unlimited — the router's "prefer lightly loaded shards" signal.
-func (s *StatsInfo) Occupancy() float64 {
-	if s.Capacity <= 0 {
-		return -1
-	}
-	return float64(s.Active) / float64(s.Capacity)
 }
 
 // ShardStatus is one backend's row in a router's StatsInfo.

@@ -176,6 +176,52 @@ func TestResumeAfterSilentStall(t *testing.T) {
 	}
 }
 
+// TestDialTimeoutBoundsOnlyTheHandshake: DialTimeout bounds connect and
+// handshake, never the reader that waits on credits and verdicts after it.
+// The server's checker holds one frame four times longer than DialTimeout
+// before its credit goes back; a handshake read deadline left armed on the
+// reader would fail the session (dial) or force a second reconnect (resume).
+func TestDialTimeoutBoundsOnlyTheHandshake(t *testing.T) {
+	const dialTimeout = 250 * time.Millisecond
+	t.Run("dial", func(t *testing.T) {
+		_, spec := startServer(t, ServerConfig{
+			NewSession: stubSessions(func() *stubChecker { return &stubChecker{hold: 4 * dialTimeout} }),
+			Window:     4,
+		})
+		cl, err := Dial(spec, testHello(), ClientConfig{DialTimeout: dialTimeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		runResumeSession(t, cl)
+	})
+	t.Run("resume", func(t *testing.T) {
+		// The first connection resets inside data frame 5, so the server has
+		// checked 4 items when the retransmitted frame 5 reaches the hold.
+		_, spec := startServer(t, ServerConfig{
+			NewSession:   stubSessions(func() *stubChecker { return &stubChecker{hold: 4 * dialTimeout, holdAt: 4} }),
+			Window:       4,
+			ResumeWindow: time.Minute,
+		})
+		j := faultnet.NewJournal(1)
+		dial, _ := faultyFirstDial(faultnet.Plan{
+			Seed:   1,
+			Script: []faultnet.Op{{Index: 5, Kind: faultnet.Reset, Offset: 10}},
+		}, j)
+		cfg := resumeClientConfig(dial)
+		cfg.DialTimeout = dialTimeout
+		cl, err := Dial(spec, testHello(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		runResumeSession(t, cl)
+		if got := cl.Reconnects(); got != 1 {
+			t.Fatalf("Reconnects=%d, want exactly the one the reset forced\n%s", got, j)
+		}
+	})
+}
+
 func TestResumeRetryBudgetExhaustion(t *testing.T) {
 	gets0, puts0 := event.PoolStats()
 	_, spec := startServer(t, ServerConfig{

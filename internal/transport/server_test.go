@@ -24,6 +24,8 @@ type stubChecker struct {
 	packets    int
 	mismatchAt uint64 // report a mismatch once events reaches this (0 = never)
 	trapCode   uint64
+	hold       time.Duration // Items sleeps this long once, at the call that finds holdAt events
+	holdAt     uint64
 }
 
 func (s *stubChecker) Packet(buf []byte) (*checker.Mismatch, error) {
@@ -37,6 +39,10 @@ func (s *stubChecker) Packet(buf []byte) (*checker.Mismatch, error) {
 func (s *stubChecker) Items(items []wire.Item) (*checker.Mismatch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.hold > 0 && s.events == s.holdAt {
+		time.Sleep(s.hold)
+		s.hold = 0
+	}
 	s.events += uint64(len(items))
 	return s.maybeMismatch(), nil
 }

@@ -212,16 +212,6 @@ func (c *Conn) WriteFrame(typ uint8, payload []byte) error {
 	return c.CommitFrame(typ, len(payload))
 }
 
-// AdoptWriteFrame sends one frame whose payload is a pooled buffer
-// (event.GetBuf) the caller hands off: the buffer is staged into the ring
-// and returned to the pool, win or lose — the send-side mirror of
-// ReadFrame's ownership transfer.
-func (c *Conn) AdoptWriteFrame(typ uint8, buf []byte) error {
-	err := c.WriteFrame(typ, buf)
-	event.PutBuf(buf)
-	return err
-}
-
 // ReserveFrame claims a frame slot with room for up to max payload bytes and
 // returns the payload region, aliasing the ring, for the caller to encode
 // into. CommitFrame publishes it; until then nothing is visible to the

@@ -233,35 +233,6 @@ func TestReserveCommit(t *testing.T) {
 	}
 }
 
-// TestAdoptWriteFrame pins the send-side ownership transfer: the pooled
-// buffer is consumed by the call, keeping the pool balanced without the
-// caller releasing anything.
-func TestAdoptWriteFrame(t *testing.T) {
-	gets0, puts0 := event.PoolStats()
-	a, b, err := Pair(MinRingBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
-	buf := event.GetBuf(32)[:32]
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	if err := a.AdoptWriteFrame(transport.FramePacket, buf); err != nil {
-		t.Fatal(err)
-	}
-	_, payload, err := b.ReadFrame()
-	if err != nil || len(payload) != 32 {
-		t.Fatalf("adopted frame read back %d bytes, err %v", len(payload), err)
-	}
-	b.ReleasePayload(payload)
-	gets1, puts1 := event.PoolStats()
-	if gets1-gets0 != puts1-puts0 {
-		t.Fatalf("pool imbalance: %d gets vs %d puts", gets1-gets0, puts1-puts0)
-	}
-}
-
 // TestReleasePayloadForeignBuffer: a pooled buffer routed to the ring's
 // ReleasePayload (the seam's socket-side convention) must go back to the
 // pool, not corrupt the tail.

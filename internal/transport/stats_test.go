@@ -56,9 +56,6 @@ func TestServerStatsPoll(t *testing.T) {
 	if si.Active != 1 || si.Window != 4 || si.Capacity != 8 {
 		t.Fatalf("first poll %+v, want Active=1 Window=4 Capacity=8", si)
 	}
-	if occ := si.Occupancy(); occ != 0.125 {
-		t.Fatalf("occupancy %v, want 1/8", occ)
-	}
 
 	// Same connection, second poll: the loop holds.
 	if err := conn.WriteFrame(FrameStats, nil); err != nil {
@@ -87,14 +84,5 @@ func TestServerStatsPoll(t *testing.T) {
 
 	if got := srv.StatsInfo(); got.Active != 1 || got.Served != 0 {
 		t.Fatalf("server snapshot %+v mid-session", got)
-	}
-}
-
-// TestStatsOccupancyUnlimited: without a session cap there is no load
-// fraction to report.
-func TestStatsOccupancyUnlimited(t *testing.T) {
-	si := StatsInfo{Active: 3, Capacity: 0}
-	if occ := si.Occupancy(); occ != -1 {
-		t.Fatalf("unlimited-capacity occupancy %v, want -1", occ)
 	}
 }
