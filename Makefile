@@ -94,15 +94,17 @@ fuzz-campaign:
 # pins graceful degradation when the retry budget runs out. The fleet chaos
 # gate routes sessions through the multi-shard router, kills a shard
 # mid-run, and requires migrated sessions to reach byte-identical verdicts.
-# The two shutdown leak gates serve completed, parked and stats-poll
-# connections through difftestd's Server and the fleet router, shut each
-# down, and fail on any goroutine or file descriptor left behind. The
-# verdict-equivalence table runs its -race subset here: every link
-# (executed, unix, shm, routed, dual-core executed) on the clean case and
-# two library bugs, each against the sequential oracle.
+# Every session resumes, so the transport resume, redial, park and idle
+# tests run here three times over under -race. The two shutdown leak gates
+# serve completed, parked and stats-poll connections through difftestd's
+# Server and the fleet router, shut each down, and fail on any goroutine or
+# file descriptor left behind. The verdict-equivalence table runs its -race
+# subset here: every link (executed, unix, shm, routed, dual-core executed)
+# on the clean case and two library bugs, each against the sequential
+# oracle.
 integration:
 	$(GO) test -race -count=1 -run='TestLoopback|TestRemoteCancellation|TestFaultMatrix|TestDegraded|BugEquivalence|TestExecutedDualCoreFanout' -v ./internal/cosim
-	$(GO) test -race -count=1 -run='TestServerShutdownLeavesNoLeaks' -v ./internal/transport
+	$(GO) test -race -count=3 -run='TestServerShutdownLeavesNoLeaks|TestResume|TestRedial|TestParkedSession|TestDialTimeoutBoundsOnlyTheHandshake|TestIdleReap|TestServerReapsIdle' -v ./internal/transport
 	$(GO) test -race -count=1 -run='TestFleetChaosMigration|TestFleetLongTailMigration|TestFleetAllShardsDeadDegrades|TestRouterShutdownLeavesNoLeaks' -v ./internal/fleet
 	$(GO) test -race -count=1 -run='TestFuzzRediscoversBugLibrary|TestFuzzBeatsRandomControl|TestCampaignDeterministicAcrossWorkers|TestExitSequenceSurvivesTimerInterrupt' -v ./internal/fuzz
 

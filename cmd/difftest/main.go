@@ -56,14 +56,12 @@ func main() {
 			"force the -remote transport scheme (tcp, unix, shm): the -remote value is taken as a bare address — host:port for tcp, a path for unix, a rendezvous directory for shm; shm sizes its rings from the platform operating point")
 		shm = flag.Bool("shm", false,
 			"with -executed: run each configuration a further time against an in-process difftestd over the shared-memory ring transport, adding Shm wall/speedup/ring-parks columns to the comparison")
-		resume = flag.Bool("resume", false,
-			"with -remote: resume the session over reconnects instead of failing on the first connection loss (needs difftestd -resume-window)")
 		retries = flag.Int("retries", 0,
-			"with -remote -resume: reconnect attempts per disconnect before degrading to in-process checking (0 = transport default)")
+			"with -remote: reconnect attempts per disconnect before degrading to in-process checking (0 = transport default)")
 		backoff = flag.Duration("backoff", 0,
-			"with -remote -resume: first reconnect delay, doubled per retry and jittered ±50% (0 = transport default)")
+			"with -remote: first reconnect delay, doubled per retry and jittered ±50% (0 = transport default)")
 		backoffMax = flag.Duration("backoff-max", 0,
-			"with -remote -resume: cap on the reconnect delay (0 = transport default)")
+			"with -remote: cap on the reconnect delay (0 = transport default)")
 		stall = flag.Duration("stall", 0,
 			"with -remote: declare a silently hung connection dead after this long without progress (0 = wait forever)")
 		verbose = flag.Bool("v", false, "print communication counters")
@@ -110,7 +108,6 @@ func main() {
 	}
 
 	remoteCfg := transport.ClientConfig{
-		Resume:       *resume,
 		MaxRetries:   *retries,
 		BackoffBase:  *backoff,
 		BackoffMax:   *backoffMax,

@@ -39,11 +39,11 @@ func main() {
 		tokens = flag.Int("tokens", transport.DefaultWindow,
 			"token window per session (max in-flight data frames)")
 		idle = flag.Duration("idle", transport.DefaultIdleTimeout,
-			"reap sessions with no inbound frame for this long")
+			"park sessions with no inbound frame for this long and close their connection")
 		maxSessions = flag.Int("max-sessions", 0,
 			"cap concurrent sessions (0 = unlimited)")
-		resumeWindow = flag.Duration("resume-window", 0,
-			"park broken sessions this long for client resume (0 = resume disabled)")
+		resumeWindow = flag.Duration("resume-window", transport.DefaultResumeWindow,
+			"park broken and completed sessions this long for client resume")
 		grace = flag.Duration("grace", 10*time.Second,
 			"how long to let in-flight sessions finish on SIGINT/SIGTERM")
 		verbose = flag.Bool("v", false, "log per-session lifecycle events")
@@ -93,10 +93,8 @@ func main() {
 	served, mismatches, reaped := srv.Stats()
 	parked, resumed := srv.ResumeStats()
 	gets, puts := event.PoolStats()
-	logger.Printf("served %d session(s), %d mismatch verdict(s), %d reaped idle", served, mismatches, reaped)
-	if *resumeWindow > 0 {
-		logger.Printf("resume: %d session(s) parked, %d resume(s) served", parked, resumed)
-	}
+	logger.Printf("served %d session(s), %d mismatch verdict(s), %d reaped after the resume window", served, mismatches, reaped)
+	logger.Printf("resume: %d session(s) parked, %d resume(s) served", parked, resumed)
 	logger.Printf("buffer pool: %d gets, %d puts, %d leaked", gets, puts, gets-puts)
 	if gets != puts {
 		fmt.Fprintln(os.Stderr, "difftestd: pooled buffers leaked")

@@ -88,7 +88,8 @@ func NewFixedPacker(layout *FixedLayout, packetBytes int) *FixedPacker {
 }
 
 // AddCycle lays one cycle's items into a fixed-offset frame and returns any
-// full packets.
+// full packets. A rejected cycle returns no packets and leaves the stream
+// as it was.
 func (f *FixedPacker) AddCycle(items []wire.Item) ([]Packet, error) {
 	if len(items) == 0 {
 		return nil, nil

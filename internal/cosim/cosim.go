@@ -113,10 +113,10 @@ type Params struct {
 	// path next to the modeled, executed, and (optionally) socket-remote
 	// numbers without an external server.
 	ShmLoopback bool
-	// RemoteCfg tunes the networked client for RemoteAddr runs: session
-	// resume, reconnect budget, backoff, stall detection. The zero value
-	// gives a non-resuming client (protocol v1 behavior): any connection
-	// loss ends the run with an error.
+	// RemoteCfg tunes the networked client for RemoteAddr runs: reconnect
+	// budget, backoff, stall detection. Every session resumes over a lost
+	// connection; the zero value takes the transport defaults, and a session
+	// that cannot be recovered degrades to in-process checking.
 	RemoteCfg transport.ClientConfig
 	// Tenant names the accounting principal for RemoteAddr runs. A fleet
 	// router enforces per-tenant admission quotas and fair-share token
@@ -278,8 +278,9 @@ func degrade(p Params, failed *runner, cause error) (*Result, error) {
 }
 
 // runner is one co-simulation: the hardware side it always owns (DUT,
-// acceleration unit, modeled link, replay buffer) and — unless the software
-// side lives in a remote difftestd — the software half it checks with.
+// acceleration unit, modeled link, and the replay buffer where Replay runs)
+// and — unless the software side lives in a remote difftestd — the software
+// half it checks with.
 type runner struct {
 	p    Params
 	opt  Options
@@ -287,10 +288,11 @@ type runner struct {
 	link *comm.Link
 	res  *Result
 
-	fusers []*squash.Fuser
-	rbuf   *replay.Buffer
-	packer *batch.Packer
-	fixed  *batch.FixedPacker
+	fusers  []*squash.Fuser
+	rbuf    *replay.Buffer // nil unless Replay runs: in-process, not DisableReplay
+	nextTok uint64         // token of the next record, in step with rbuf
+	packer  *batch.Packer
+	fixed   *batch.FixedPacker
 
 	half  *CheckerSession      // nil on remote runs
 	rctls []*replay.Controller // Replay, one per core of half's checker
@@ -312,10 +314,11 @@ func (r *runner) setup() {
 		for i := 0; i < r.p.DUT.Cores; i++ {
 			r.fusers = append(r.fusers, squash.NewFuser(scfg, uint8(i)))
 		}
-		r.rbuf = replay.NewBuffer(r.p.ReplayBufCap)
-		if r.half != nil {
+		if r.half != nil && !r.p.DisableReplay {
 			// Replay needs the REF on this side of the link: checkpoint it
 			// at every fusion-window start the reorderer is about to check.
+			// Nothing else reads the buffer, so runs without Replay skip it.
+			r.rbuf = replay.NewBuffer(r.p.ReplayBufCap)
 			for _, cc := range r.half.chk.Cores {
 				r.rctls = append(r.rctls, replay.NewController(cc, r.rbuf))
 			}
@@ -438,7 +441,13 @@ func (r *runner) hardwareSide(recs []event.Record) []wire.Item {
 		r.items = wire.AppendItems(r.items, recs)
 		return r.items
 	}
-	startTok := r.rbuf.Add(recs)
+	// Tokens number records from 0 as Buffer.Add does, so the fused stream
+	// is byte-identical with or without a buffer.
+	startTok := r.nextTok
+	r.nextTok += uint64(len(recs))
+	if r.rbuf != nil {
+		r.rbuf.Add(recs)
+	}
 	// Split per core, preserving order and token alignment.
 	for core := 0; core < r.p.DUT.Cores; core++ {
 		r.coreRecs, r.toks = r.coreRecs[:0], r.toks[:0]
@@ -459,7 +468,7 @@ func (r *runner) hardwareSide(recs []event.Record) []wire.Item {
 // link, runs the Replay round trip.
 func (r *runner) onMismatch(m *checker.Mismatch) {
 	r.res.Mismatch = m
-	if r.opt.Squash && !r.p.DisableReplay && int(m.Core) < len(r.rctls) {
+	if int(m.Core) < len(r.rctls) {
 		// Replay round trip: notify hardware, retransmit the buffered
 		// range, reprocess at instruction granularity (paper Fig. 11).
 		rep := r.rctls[m.Core].Run(m)

@@ -290,7 +290,6 @@ func startRoutedFleet(t *testing.T) (string, transport.ClientConfig) {
 		<-done
 	})
 	return spec, transport.ClientConfig{
-		Resume:       true,
 		MaxRetries:   6,
 		BackoffBase:  5 * time.Millisecond,
 		BackoffMax:   50 * time.Millisecond,

@@ -136,9 +136,6 @@ func (p *hwProducer) pack(items []wire.Item, flush bool) error {
 	case r.opt.FixedOffset:
 		var err error
 		if pkts, err = r.fixed.AddCycle(items); err != nil {
-			for i := range pkts {
-				pkts[i].Release()
-			}
 			return err
 		}
 		if flush {

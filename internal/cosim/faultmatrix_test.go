@@ -134,7 +134,6 @@ func (d *faultDialer) release() {
 // parked (and resumable) before the client gives up on the dead link.
 func matrixClientConfig(d *faultDialer) transport.ClientConfig {
 	return transport.ClientConfig{
-		Resume:       true,
 		MaxRetries:   4,
 		BackoffBase:  10 * time.Millisecond,
 		BackoffMax:   100 * time.Millisecond,
@@ -262,7 +261,6 @@ func TestDegradedRunAfterBudgetExhaustion(t *testing.T) {
 
 	p := matrixParams(t, "", spec)
 	p.RemoteCfg = transport.ClientConfig{
-		Resume:      true,
 		MaxRetries:  2,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,

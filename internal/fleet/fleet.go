@@ -73,8 +73,8 @@ type Config struct {
 	// (0 = transport default).
 	HandshakeTimeout time.Duration
 	// ResumeWindow is how long a broken session's record is kept for the
-	// client to resume (0 = transport default). Unlike difftestd, a router
-	// cannot disable it — resume is the migration mechanism.
+	// client to resume (0 = transport default); resume is also the
+	// migration mechanism.
 	ResumeWindow time.Duration
 
 	// DialShard, when set, replaces the backend network dial — the hook

@@ -55,7 +55,6 @@ func fleetParams(t testing.TB, bugID, addr string, seed int64) cosim.Params {
 // same machinery the fault matrix exercises, pointed at a router.
 func routedCfg() transport.ClientConfig {
 	return transport.ClientConfig{
-		Resume:       true,
 		MaxRetries:   6,
 		BackoffBase:  5 * time.Millisecond,
 		BackoffMax:   50 * time.Millisecond,

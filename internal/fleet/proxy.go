@@ -151,7 +151,6 @@ func (r *Router) openSession(conn transport.FrameTransport, h transport.FrameHea
 		WireDigest:  b.welcome.WireDigest,
 		Session:     id,
 		Tokens:      s.window,
-		Resumable:   true,
 		ResumeToken: s.token,
 	}
 	if err := conn.WriteFrame(transport.FrameWelcome, transport.EncodeControl(&w)); err != nil {

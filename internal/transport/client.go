@@ -21,8 +21,7 @@ import (
 // remote mode does — can degrade to in-process checking on this error.
 var ErrSessionLost = errors.New("transport: session lost")
 
-// Client retry defaults, used when ClientConfig.Resume is set and the knob
-// is zero.
+// Client retry defaults, used when the ClientConfig knob is zero.
 const (
 	DefaultMaxRetries  = 5
 	DefaultBackoffBase = 50 * time.Millisecond
@@ -36,12 +35,7 @@ type ClientConfig struct {
 	// WriteTimeout bounds each data-frame flush (0 = DefaultWriteTimeout).
 	WriteTimeout time.Duration
 
-	// Resume enables session resume: the client keeps pooled copies of
-	// unacknowledged data frames and, when the connection breaks, reconnects
-	// with exponential backoff + jitter and continues the session from the
-	// server's acknowledged prefix. Requires a server with a ResumeWindow.
-	// Through a fleet router no ack is durable (a resume rebuilds the
-	// session on a fresh shard), so a routed client keeps its whole stream.
+	// Deprecated: ignored; every client resumes.
 	Resume bool
 	// MaxRetries is the reconnect budget per disconnect (0 = DefaultMaxRetries).
 	// When it runs out the session fails with ErrSessionLost.
@@ -53,7 +47,7 @@ type ClientConfig struct {
 	// StallTimeout, when positive, bounds how long a send may wait for a
 	// window token or Finish may wait for the verdict before the connection
 	// is declared silently stalled and recovery kicks in. Zero disables
-	// stall detection (a stalled non-resumable session blocks, as in v1).
+	// stall detection.
 	StallTimeout time.Duration
 	// JitterSeed seeds the backoff jitter stream so tests replay the exact
 	// retry schedule (0 = a fixed default seed).
@@ -65,8 +59,8 @@ type ClientConfig struct {
 	Dial func(spec string) (net.Conn, error)
 }
 
-// pendingFrame is one unacknowledged data frame held for retransmission: a
-// pooled copy of the payload, released when the server's Credit.Ack (or a
+// pendingFrame is one unacknowledged data frame held for retransmission: the
+// frame's own pooled buffer, released when the server's Credit.Ack (or a
 // ResumeOK.Have) covers its index.
 type pendingFrame struct {
 	idx uint64 // 1-based data-frame index within the session
@@ -98,6 +92,11 @@ func (g *connGen) die(err error) {
 
 // Client streams one DUT session to a difftestd server: data frames out
 // under the token window, credits and verdicts in on a reader goroutine.
+// Every data frame stays in the replay window until the server acknowledges
+// it, so a broken connection is recovered by reconnecting with exponential
+// backoff + jitter and continuing from the server's acknowledged prefix.
+// Through a fleet router no ack is durable (a resume rebuilds the session on
+// a fresh shard), so a routed client keeps its whole stream.
 // Send methods are not goroutine-safe (one producer); the reader goroutine
 // is internal. All recovery — backoff, redial, resume handshake,
 // retransmission — runs on the producer goroutine; the reader only signals.
@@ -145,16 +144,14 @@ func Dial(spec string, hello Hello, cfg ClientConfig) (*Client, error) {
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = DefaultWriteTimeout
 	}
-	if cfg.Resume {
-		if cfg.MaxRetries <= 0 {
-			cfg.MaxRetries = DefaultMaxRetries
-		}
-		if cfg.BackoffBase <= 0 {
-			cfg.BackoffBase = DefaultBackoffBase
-		}
-		if cfg.BackoffMax <= 0 {
-			cfg.BackoffMax = DefaultBackoffMax
-		}
+	if cfg.MaxRetries <= 0 {
+		cfg.MaxRetries = DefaultMaxRetries
+	}
+	if cfg.BackoffBase <= 0 {
+		cfg.BackoffBase = DefaultBackoffBase
+	}
+	if cfg.BackoffMax <= 0 {
+		cfg.BackoffMax = DefaultBackoffMax
 	}
 	seed := cfg.JitterSeed
 	if seed == 0 {
@@ -179,6 +176,9 @@ func Dial(spec string, hello Hello, cfg ClientConfig) (*Client, error) {
 	// Handshake releases the reply before returning, so readLoop can take
 	// over as the transport's sole reader at once.
 	w, ei, err := Handshake(conn, hello)
+	if ei == nil && err == nil && w.ResumeToken == 0 {
+		err = errors.New("server granted no resume token")
+	}
 	if ei != nil || err != nil {
 		conn.Close()
 		if ei != nil {
@@ -221,12 +221,6 @@ func newGen(conn FrameTransport, window, avail int) *connGen {
 		g.tokens <- struct{}{}
 	}
 	return g
-}
-
-// resumeEnabled reports whether this session can recover from a broken
-// connection: the client asked for it and the server granted a resume token.
-func (c *Client) resumeEnabled() bool {
-	return c.cfg.Resume && c.welcome.Resumable && c.welcome.ResumeToken != 0
 }
 
 // Session reports the server-assigned session id.
@@ -317,15 +311,18 @@ func (c *Client) readLoop(gen *connGen) {
 			c.terminal()
 			return
 		case FrameErrorInfo:
-			// The server speaks only to refuse or tear down: every error
-			// frame is fatal for the session (a resumable server parks
-			// silently instead of sending one).
+			// An idle notice means the server parked the session and gave
+			// up only the connection: recover like any lost link. Every
+			// other error frame refuses or tears down the session.
 			var ei ErrorInfo
 			err := DecodeControl(h.Type, payload, &ei)
 			gen.conn.ReleasePayload(payload)
-			if err != nil {
+			switch {
+			case err != nil:
 				c.fatal(err)
-			} else {
+			case ei.Code == "idle":
+				gen.die(&ei)
+			default:
 				c.fatal(&ei)
 			}
 			return
@@ -374,21 +371,24 @@ func (c *Client) firstErr() error {
 	return c.readErr
 }
 
-// pruneAcked releases replay-window copies the server has acknowledged.
+// pruneAcked releases the replay-window buffers the server has
+// acknowledged. The live tail moves down in place, so a bounded window
+// allocates nothing in steady state.
 func (c *Client) pruneAcked(ack uint64) {
-	if ack == 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ack > c.acked {
-		c.acked = ack
+	c.acked = max(c.acked, ack)
+	k := 0
+	for k < len(c.pending) && c.pending[k].idx <= c.acked {
+		event.PutBuf(c.pending[k].buf)
+		k++
 	}
-	for len(c.pending) > 0 && c.pending[0].idx <= c.acked {
-		event.PutBuf(c.pending[0].buf)
-		c.pending[0] = pendingFrame{}
-		c.pending = c.pending[1:]
+	if k == 0 {
+		return
 	}
+	n := copy(c.pending, c.pending[k:])
+	clear(c.pending[n:])
+	c.pending = c.pending[:n]
 }
 
 // releasePending drains the replay window back to the buffer pool.
@@ -404,8 +404,8 @@ func (c *Client) releasePending() {
 
 // take acquires one window token, counting a stall when the window is dry —
 // this is where networked backpressure is measured. A dead connection or a
-// silent stall triggers recovery (resume-enabled sessions reconnect; others
-// fail). Returns false when the session stopped (verdict or error).
+// silent stall triggers recovery. Returns false when the session stopped
+// (verdict or error).
 func (c *Client) take() bool {
 	for {
 		gen := c.gen
@@ -470,13 +470,8 @@ func (c *Client) recover(gen *connGen, why string) bool {
 		return false
 	default:
 	}
-	if !c.resumeEnabled() {
-		err := gen.err
-		if err == nil {
-			err = fmt.Errorf("transport: connection lost (%s)", why)
-		}
-		c.fatal(err)
-		return false
+	if gen.err != nil {
+		why = fmt.Sprintf("%s (%v)", why, gen.err)
 	}
 
 	var lastErr error
@@ -569,10 +564,9 @@ func (c *Client) redial() (*connGen, error) {
 	}
 
 	// Retransmit the unacknowledged tail in order on the fresh connection.
-	c.mu.Lock()
-	tail := make([]pendingFrame, len(c.pending))
-	copy(tail, c.pending)
-	c.mu.Unlock()
+	// The old reader has exited and the new one starts only below, so no
+	// prune runs while the window's buffers are written.
+	tail := c.pending
 	for _, pf := range tail {
 		if err := conn.WriteFrame(pf.typ, pf.buf); err != nil {
 			conn.Close()
@@ -603,78 +597,71 @@ func (c *Client) redial() (*connGen, error) {
 	return g, nil
 }
 
-// sendData streams one data frame: token, replay-window copy, write. On a
-// write failure the frame is already windowed, so recovery retransmits it.
+// sendData streams one data frame: token, write, replay window. The window
+// adopts payload, a pooled buffer, and returns it to the pool once the
+// server acknowledges the frame; a send on a stopped session releases it at
+// once. The frame joins the window only after the write, so the reader never
+// releases a buffer the write is still reading; an ack that raced ahead
+// prunes it on the spot. On a write failure recovery retransmits it.
 func (c *Client) sendData(typ uint8, payload []byte) (stop bool, err error) {
 	if c.stopped.Load() || !c.take() {
+		event.PutBuf(payload)
 		return true, c.firstErr()
 	}
 	c.dataSent++
-	if c.resumeEnabled() {
-		buf := event.GetBuf(len(payload))[:len(payload)]
-		copy(buf, payload)
-		c.mu.Lock()
-		c.pending = append(c.pending, pendingFrame{idx: c.dataSent, typ: typ, buf: buf})
-		c.mu.Unlock()
-	}
-	if werr := c.gen.conn.WriteFrame(typ, payload); werr != nil {
+	werr := c.gen.conn.WriteFrame(typ, payload)
+	c.adopt(typ, payload)
+	if werr != nil {
 		gen := c.gen
 		gen.die(werr)
 		if !c.recover(gen, "send failed") {
-			if ferr := c.firstErr(); ferr != nil {
-				return true, ferr
-			}
-			return true, nil // terminal with a verdict, not an error
+			return true, c.firstErr() // nil when terminal with a verdict
 		}
-		// recover retransmitted the windowed copy on the new connection.
+		// recover retransmitted the windowed frame on the new connection.
 	}
 	return c.stopped.Load(), c.firstErr()
 }
 
-// SendPacket streams one batch-packed packet (its used bytes only) and
-// releases the packet's pooled buffer — the client-side mirror of the
-// in-process transfer where the unpacker's arena copy frees the packet.
-// stop=true means a verdict arrived and production should cease.
+// adopt adds the data frame just written to the replay window, which now
+// owns buf; an ack that raced ahead of the write releases it at once.
+func (c *Client) adopt(typ uint8, buf []byte) {
+	c.mu.Lock()
+	c.pending = append(c.pending, pendingFrame{idx: c.dataSent, typ: typ, buf: buf})
+	c.mu.Unlock()
+	c.pruneAcked(0)
+}
+
+// SendPacket streams one batch-packed packet (its used bytes only). The
+// replay window takes over the packet's pooled buffer, so the caller must
+// not release it. stop=true means a verdict arrived and production should
+// cease.
 func (c *Client) SendPacket(pkt batch.Packet) (stop bool, err error) {
-	defer pkt.Release()
 	return c.sendData(FramePacket, pkt.Buf[:pkt.Used])
 }
 
 // SendItems streams bare wire items (the per-event baseline). The encode
-// scratch is pooled, so steady-state sends allocate nothing.
+// scratch is pooled and the replay window takes it over, so steady-state
+// sends allocate nothing.
 func (c *Client) SendItems(items []wire.Item) (stop bool, err error) {
-	// ItemsSize pre-sizes the scratch exactly, so AppendItems stays within
-	// capacity and enc aliases scratch's backing array.
+	// ItemsSize pre-sizes the scratch exactly, so AppendItems fills it in
+	// place and the encoding is scratch[:len(enc)].
 	scratch := event.GetBuf(ItemsSize(items))
 	enc, err := AppendItems(scratch, items)
 	if err != nil {
 		event.PutBuf(scratch)
 		return true, err
 	}
-	stop, err = c.sendData(FrameItems, enc)
-	event.PutBuf(scratch)
-	return stop, err
+	return c.sendData(FrameItems, scratch[:len(enc)])
 }
 
 // Finish ends the stream: sends FrameEnd, waits for the server's Done, and
 // returns the final verdict (which carries any mismatch diagnosis). If the
-// connection breaks (or silently stalls) while waiting, resume-enabled
-// sessions recover and retransmit; the server replays a lost Done from its
-// parked state.
+// connection breaks (or silently stalls) while waiting, the client recovers
+// and retransmits; the server replays a lost Done from its parked state.
 func (c *Client) Finish() (Verdict, error) {
 	c.endSent = true
 	if err := c.gen.conn.WriteFrame(FrameEnd, nil); err != nil {
-		gen := c.gen
-		gen.die(err)
-		if !c.recover(gen, "end send failed") {
-			if v, ok := c.finalVerdict(); ok {
-				return v, nil
-			}
-			if rerr := c.firstErr(); rerr != nil {
-				return Verdict{}, rerr
-			}
-			return Verdict{}, fmt.Errorf("transport: end send: %w", err)
-		}
+		c.gen.die(err) // the wait below recovers, and the redial resends End
 	}
 	for {
 		gen := c.gen

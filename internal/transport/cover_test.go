@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,8 +216,8 @@ func TestParkedSessionReapedAfterWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	releaseBuf(payload)
-	if !w.Resumable || w.ResumeToken == 0 {
-		t.Fatalf("resume-enabled server sent welcome %+v", w)
+	if w.ResumeToken == 0 {
+		t.Fatalf("server sent welcome %+v without a resume token", w)
 	}
 	conn.Close() // vanish mid-session: the server parks it
 
@@ -346,7 +347,6 @@ func TestResumeRefusedAfterReapIsFatal(t *testing.T) {
 		Script: []faultnet.Op{{Index: 3, Kind: faultnet.Reset, Offset: 7}},
 	}, j)
 	cfg := ClientConfig{
-		Resume:      true,
 		MaxRetries:  5,
 		BackoffBase: 60 * time.Millisecond,
 		BackoffMax:  200 * time.Millisecond,
@@ -377,7 +377,8 @@ func TestResumeRefusedAfterReapIsFatal(t *testing.T) {
 }
 
 // TestDialHandshakeErrors drives Dial against a server that misbehaves at
-// the handshake: a non-welcome reply, a zero-token grant, and no listener.
+// the handshake: a non-welcome reply, a zero-token grant, a welcome with no
+// resume token, and no listener.
 func TestDialHandshakeErrors(t *testing.T) {
 	spec := "unix:" + filepath.Join(t.TempDir(), "fake.sock")
 	l, err := Listen(spec)
@@ -385,7 +386,7 @@ func TestDialHandshakeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	replies := make(chan func(FrameTransport), 2)
+	replies := make(chan func(FrameTransport), 3)
 	go func() {
 		for {
 			conn, err := l.AcceptFrame()
@@ -416,6 +417,15 @@ func TestDialHandshakeErrors(t *testing.T) {
 	}
 	if _, err := Dial(spec, testHello(), ClientConfig{}); err == nil || !strings.Contains(err.Error(), "window") {
 		t.Fatalf("zero-token welcome: err = %v", err)
+	}
+
+	replies <- func(c FrameTransport) {
+		c.WriteFrame(FrameWelcome, EncodeControl(&Welcome{
+			Proto: ProtoVersion, WireDigest: event.FormatDigest(), Session: 1, Tokens: 4,
+		}))
+	}
+	if _, err := Dial(spec, testHello(), ClientConfig{}); err == nil || !strings.Contains(err.Error(), "resume token") {
+		t.Fatalf("welcome without a resume token: err = %v", err)
 	}
 
 	none := "unix:" + filepath.Join(t.TempDir(), "nobody-home.sock")
@@ -506,12 +516,22 @@ func TestServerRefusesFailedSessionBuild(t *testing.T) {
 	}
 }
 
-// TestIdleReapWithoutResume pins the non-resumable idle policy: a server
-// with no resume window reaps a silent session and says so on the wire.
+// TestIdleReapWithoutResume pins the idle policy on the wire: a silent
+// session is parked, then told so with a typed idle error, and a Resume
+// presenting the Welcome's token picks it up where it stopped.
 func TestIdleReapWithoutResume(t *testing.T) {
-	srv, spec := startServer(t, ServerConfig{
+	// Holding the park's log line open widens the gap a notice written
+	// before the park would leave, so the order is checked, not raced.
+	var parked atomic.Bool
+	_, spec := startServer(t, ServerConfig{
 		NewSession:  stubSessions(func() *stubChecker { return &stubChecker{} }),
 		IdleTimeout: 30 * time.Millisecond,
+		Logf: func(format string, _ ...any) {
+			if strings.HasPrefix(format, "session %d: parked") {
+				time.Sleep(20 * time.Millisecond)
+				parked.Store(true)
+			}
+		},
 	})
 	sp, _ := ParseSpec(spec)
 	nc, err := net.Dial(sp.Scheme, sp.Addr)
@@ -523,26 +543,39 @@ func TestIdleReapWithoutResume(t *testing.T) {
 	h := testHello()
 	h.Proto = ProtoVersion
 	h.WireDigest = event.FormatDigest()
-	if err := conn.WriteFrame(FrameHello, EncodeControl(&h)); err != nil {
-		t.Fatal(err)
+	w, ei, err := Handshake(conn, h)
+	if ei != nil || err != nil {
+		t.Fatalf("handshake: %v %v", ei, err)
 	}
+	// Go silent; the server must park us and say why.
 	fh, p, err := conn.ReadFrame()
-	if err != nil || fh.Type != FrameWelcome {
-		t.Fatalf("welcome: type=%d err=%v", fh.Type, err)
-	}
-	releaseBuf(p)
-	// Go silent; the server must reap us with a typed idle error.
-	fh, p, err = conn.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer releaseBuf(p)
-	var ei ErrorInfo
-	if fh.Type != FrameErrorInfo || DecodeControl(fh.Type, p, &ei) != nil || ei.Code != "idle" {
-		t.Fatalf("idle session answered frame %d %+v, want an idle reap", fh.Type, ei)
+	var idle ErrorInfo
+	derr := DecodeControl(fh.Type, p, &idle)
+	releaseBuf(p)
+	if fh.Type != FrameErrorInfo || derr != nil || idle.Code != "idle" {
+		t.Fatalf("idle session answered frame %d %+v, want an idle notice", fh.Type, idle)
 	}
-	if _, _, reaped := srv.Stats(); reaped == 0 {
-		t.Fatal("idle reap was not counted")
+	if !parked.Load() {
+		t.Fatal("the idle notice arrived before the session was parked")
+	}
+
+	nc2, err := net.Dial(sp.Scheme, sp.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc2.Close()
+	var ok ResumeOK
+	ei, err = Call(NewConn(nc2), FrameResume, &Resume{
+		Proto: ProtoVersion, Session: w.Session, Token: w.ResumeToken,
+	}, FrameResumeOK, &ok)
+	if ei != nil || err != nil {
+		t.Fatalf("resume after the idle notice: %v %v", ei, err)
+	}
+	if ok.Have != 0 || ok.Final != nil || ok.Verdict != nil {
+		t.Fatalf("resume of an idle empty session answered %+v, want Have 0", ok)
 	}
 }
 
@@ -578,7 +611,7 @@ func TestRedialReplaysCompletedSession(t *testing.T) {
 		NewSession:   stubSessions(func() *stubChecker { return &stubChecker{trapCode: 0x2a} }),
 		ResumeWindow: time.Minute,
 	})
-	cl, err := Dial(spec, testHello(), ClientConfig{Resume: true})
+	cl, err := Dial(spec, testHello(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +662,7 @@ func TestRedialReplaysEarlyVerdict(t *testing.T) {
 		NewSession:   stubSessions(func() *stubChecker { return &stubChecker{mismatchAt: 2} }),
 		ResumeWindow: time.Minute,
 	})
-	cl, err := Dial(spec, testHello(), ClientConfig{Resume: true})
+	cl, err := Dial(spec, testHello(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,5 +708,96 @@ func TestRedialReplaysEarlyVerdict(t *testing.T) {
 	}
 	if !cl.stopped.Load() {
 		t.Fatal("a replayed mismatch verdict must stop production")
+	}
+}
+
+// TestParkedSessionHoldsNoChecker: a completed session parks with its
+// verdict only. Its checker — REF memory and all — is dropped at once, not
+// kept for the resume window.
+func TestParkedSessionHoldsNoChecker(t *testing.T) {
+	srv, spec := startServer(t, ServerConfig{
+		NewSession: stubSessions(func() *stubChecker { return &stubChecker{} }),
+	})
+	cl, err := Dial(spec, testHello(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.SendItems([]wire.Item{{Type: 0, Payload: []byte{1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cl.Finish(); err != nil || !v.Finished {
+		t.Fatalf("Finish = %+v, %v", v, err)
+	}
+	// The server parks a completed session before it writes Done.
+	srv.mu.Lock()
+	sn := srv.parked[cl.Session()]
+	srv.mu.Unlock()
+	if sn == nil || sn.final == nil {
+		t.Fatalf("completed session %d is not parked with its verdict", cl.Session())
+	}
+	if sn.sess != nil {
+		t.Fatal("parked completed session still holds its SessionChecker")
+	}
+}
+
+// TestSendItemsEncodeErrorReleasesScratch: an item the frame format cannot
+// carry fails SendItems with the encode error before anything is sent or
+// windowed, and the pooled scratch goes back to the pool.
+func TestSendItemsEncodeErrorReleasesScratch(t *testing.T) {
+	_, spec := startServer(t, ServerConfig{
+		NewSession: stubSessions(func() *stubChecker { return &stubChecker{} }),
+	})
+	gets0, puts0 := event.PoolStats()
+	cl, err := Dial(spec, testHello(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, err := cl.SendItems([]wire.Item{{Type: 0, Payload: make([]byte, 1<<16)}})
+	if err == nil || !stop || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("SendItems(65536-byte payload) = stop %v, err %v; want the encode error", stop, err)
+	}
+	cl.Close()
+	if gets, puts := event.PoolStats(); gets-gets0 != puts-puts0 {
+		t.Fatalf("pool imbalance after an encode error: %d gets vs %d puts", gets-gets0, puts-puts0)
+	}
+}
+
+// TestSendOnStoppedSessionReleasesBuffer: once a verdict has stopped the
+// session, a send hands its pooled buffer straight back instead of windowing
+// it.
+func TestSendOnStoppedSessionReleasesBuffer(t *testing.T) {
+	_, spec := startServer(t, ServerConfig{
+		NewSession: stubSessions(func() *stubChecker { return &stubChecker{mismatchAt: 1} }),
+	})
+	gets0, puts0 := event.PoolStats()
+	cl, err := Dial(spec, testHello(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.SendPacket(pooledPacket(8)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for cl.Verdict() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("mismatch verdict never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 3; i++ {
+		if stop, err := cl.SendPacket(pooledPacket(8)); !stop || err != nil {
+			t.Fatalf("send %d after the verdict: stop=%v err=%v", i, stop, err)
+		}
+	}
+	cl.mu.Lock()
+	windowed := len(cl.pending)
+	cl.mu.Unlock()
+	if windowed > 1 {
+		t.Fatalf("%d frames windowed; sends after the verdict must not join the window", windowed)
+	}
+	cl.Close()
+	if gets, puts := event.PoolStats(); gets-gets0 != puts-puts0 {
+		t.Fatalf("pool imbalance: %d gets vs %d puts", gets-gets0, puts-puts0)
 	}
 }

@@ -47,15 +47,14 @@ type Hello struct {
 
 // Welcome is the server's session grant: the negotiated protocol, the
 // server's wire digest (echoed so the client can diagnose a drift in either
-// direction), the session id, and the initial token window. When the server
-// parks broken sessions for resume, Resumable is set and ResumeToken is the
-// capability a later Resume frame must present.
+// direction), the session id, and the initial token window. Every server
+// parks broken sessions, so ResumeToken is always set: it is the capability
+// a later Resume frame must present.
 type Welcome struct {
 	Proto       uint16 `json:"proto"`
 	WireDigest  uint64 `json:"wire_digest"`
 	Session     uint64 `json:"session"`
 	Tokens      int    `json:"tokens"`
-	Resumable   bool   `json:"resumable,omitempty"`
 	ResumeToken uint64 `json:"resume_token,omitempty"`
 }
 

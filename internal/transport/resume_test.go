@@ -33,7 +33,6 @@ func faultyFirstDial(plan faultnet.Plan, j *faultnet.Journal) (func(string) (net
 // resumeClientConfig is the fast-retry client every resume test uses.
 func resumeClientConfig(dial func(string) (net.Conn, error)) ClientConfig {
 	return ClientConfig{
-		Resume:      true,
 		MaxRetries:  4,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  50 * time.Millisecond,
@@ -67,43 +66,59 @@ func runResumeSession(t *testing.T, cl *Client) {
 	}
 }
 
+// TestResumeAfterMidFrameReset resets the first connection inside a data
+// frame. The session resumes both with fast-retry tuning and with a
+// zero-value ClientConfig against a default ServerConfig: recovery needs no
+// option on either side.
 func TestResumeAfterMidFrameReset(t *testing.T) {
-	gets0, puts0 := event.PoolStats()
-	srv, spec := startServer(t, ServerConfig{
-		NewSession:   stubSessions(func() *stubChecker { return &stubChecker{} }),
-		Window:       4,
-		ResumeWindow: time.Minute,
-	})
-	j := faultnet.NewJournal(1)
-	// Write index 5 = Hello + 4 data frames; offset 10 is inside the 24-byte
-	// frame header, so the server sees a mid-frame ErrUnexpectedEOF.
-	dial, dials := faultyFirstDial(faultnet.Plan{
-		Seed:   1,
-		Script: []faultnet.Op{{Index: 5, Kind: faultnet.Reset, Offset: 10}},
-	}, j)
-	cl, err := Dial(spec, testHello(), resumeClientConfig(dial))
-	if err != nil {
-		t.Fatal(err)
+	stub := stubSessions(func() *stubChecker { return &stubChecker{} })
+	cases := []struct {
+		name string
+		srv  ServerConfig
+		cl   func(dial func(string) (net.Conn, error)) ClientConfig
+	}{
+		{"tuned", ServerConfig{NewSession: stub, Window: 4, ResumeWindow: time.Minute}, resumeClientConfig},
+		{"defaults", ServerConfig{NewSession: stub}, func(dial func(string) (net.Conn, error)) ClientConfig {
+			return ClientConfig{Dial: dial}
+		}},
 	}
-	runResumeSession(t, cl)
-	cl.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gets0, puts0 := event.PoolStats()
+			srv, spec := startServer(t, tc.srv)
+			j := faultnet.NewJournal(1)
+			// Write index 5 = Hello + 4 data frames; offset 10 is inside the
+			// 24-byte frame header, so the server sees a mid-frame
+			// ErrUnexpectedEOF.
+			dial, dials := faultyFirstDial(faultnet.Plan{
+				Seed:   1,
+				Script: []faultnet.Op{{Index: 5, Kind: faultnet.Reset, Offset: 10}},
+			}, j)
+			cl, err := Dial(spec, testHello(), tc.cl(dial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runResumeSession(t, cl)
+			cl.Close()
 
-	if got := dials.Load(); got < 2 {
-		t.Fatalf("%d dials; the reset should have forced a reconnect\n%s", got, j)
-	}
-	if cl.Reconnects() == 0 {
-		t.Fatalf("Reconnects=0 after an injected reset\n%s", j)
-	}
-	if cl.ReplayedFrames() == 0 {
-		t.Fatalf("ReplayedFrames=0: the mid-frame casualty was never retransmitted\n%s", j)
-	}
-	parked, resumed := srv.ResumeStats()
-	if parked == 0 || resumed == 0 {
-		t.Fatalf("server parked=%d resumed=%d, want both > 0\n%s", parked, resumed, j)
-	}
-	gets1, puts1 := event.PoolStats()
-	if gets1-gets0 != puts1-puts0 {
-		t.Fatalf("pool imbalance across resume: %d gets vs %d puts\n%s", gets1-gets0, puts1-puts0, j)
+			if got := dials.Load(); got < 2 {
+				t.Fatalf("%d dials; the reset should have forced a reconnect\n%s", got, j)
+			}
+			if cl.Reconnects() == 0 {
+				t.Fatalf("Reconnects=0 after an injected reset\n%s", j)
+			}
+			if cl.ReplayedFrames() == 0 {
+				t.Fatalf("ReplayedFrames=0: the mid-frame casualty was never retransmitted\n%s", j)
+			}
+			parked, resumed := srv.ResumeStats()
+			if parked == 0 || resumed == 0 {
+				t.Fatalf("server parked=%d resumed=%d, want both > 0\n%s", parked, resumed, j)
+			}
+			gets1, puts1 := event.PoolStats()
+			if gets1-gets0 != puts1-puts0 {
+				t.Fatalf("pool imbalance across resume: %d gets vs %d puts\n%s", gets1-gets0, puts1-puts0, j)
+			}
+		})
 	}
 }
 

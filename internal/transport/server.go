@@ -60,10 +60,9 @@ type ServerConfig struct {
 	// Window is the token window granted per session: the maximum data
 	// frames a client may have in flight (0 = DefaultWindow).
 	Window int
-	// IdleTimeout bounds the wait for an inbound frame. A non-resumable
-	// session idle that long is reaped with an "idle" FrameError; a
-	// resumable one is parked for ResumeWindow instead
-	// (0 = DefaultIdleTimeout).
+	// IdleTimeout bounds the wait for an inbound frame. A session idle that
+	// long is parked, then told so with an "idle" ErrorInfo; the client
+	// resumes it when it next has something to send (0 = DefaultIdleTimeout).
 	IdleTimeout time.Duration
 	// HandshakeTimeout bounds the wait for the Hello frame
 	// (0 = DefaultHandshakeTimeout).
@@ -73,11 +72,11 @@ type ServerConfig struct {
 	// MaxSessions caps concurrent sessions; excess connects are refused
 	// with an "overloaded" FrameError (0 = unlimited).
 	MaxSessions int
-	// ResumeWindow, when positive, makes sessions resumable: a session whose
-	// connection breaks (mid-frame EOF, checksum mismatch, idle stall) is
-	// parked for this long, keeping its checker state so a FrameResume on a
-	// fresh connection continues exactly where the stream stopped. Zero
-	// disables parking — broken sessions die, matching protocol v1 behavior.
+	// ResumeWindow is how long a session whose connection broke (mid-frame
+	// EOF, checksum mismatch, idle stall) stays parked with its checker
+	// state, so a FrameResume on a fresh connection continues exactly where
+	// the stream stopped. A completed session parks with its verdict only
+	// (0 = DefaultResumeWindow).
 	ResumeWindow time.Duration
 	// Logf, when set, receives one line per session lifecycle step.
 	Logf func(format string, args ...any)
@@ -99,7 +98,7 @@ type session struct {
 	token  uint64
 	window int
 
-	sess SessionChecker
+	sess SessionChecker // nil once final is built
 
 	// dataRecvd counts data frames consumed this session — the server's
 	// "Have" in the resume exchange and the Ack riding on every credit.
@@ -150,6 +149,9 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = DefaultWriteTimeout
 	}
+	if cfg.ResumeWindow <= 0 {
+		cfg.ResumeWindow = DefaultResumeWindow
+	}
 	return &Server{
 		cfg:       cfg,
 		parked:    make(map[uint64]*session),
@@ -163,14 +165,12 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// resumable reports whether this server parks broken sessions.
-func (s *Server) resumable() bool { return s.cfg.ResumeWindow > 0 }
-
 // ActiveSessions reports the number of sessions currently being served.
 func (s *Server) ActiveSessions() int { return int(s.active.Load()) }
 
 // Stats reports lifetime counters: sessions served to completion, mismatch
-// verdicts delivered, and idle sessions reaped.
+// verdicts delivered, and parked sessions reaped when their resume window
+// closed.
 func (s *Server) Stats() (served, mismatches, reaped uint64) {
 	return s.served.Load(), s.mismatches.Load(), s.reaped.Load()
 }
@@ -322,11 +322,7 @@ func (s *Server) openSession(conn FrameTransport, h FrameHeader, payload []byte)
 
 	w := Welcome{
 		Proto: ProtoVersion, WireDigest: event.FormatDigest(),
-		Session: id, Tokens: sn.window,
-	}
-	if s.resumable() {
-		w.Resumable = true
-		w.ResumeToken = sn.token
+		Session: id, Tokens: sn.window, ResumeToken: sn.token,
 	}
 	if err := conn.WriteFrame(FrameWelcome, EncodeControl(&w)); err != nil {
 		s.logf("session %d: welcome write: %v", id, err)
@@ -412,23 +408,16 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 		h, payload, err := conn.ReadFrame()
 		if err != nil {
 			if isTimeout(err) {
-				if s.resumable() {
-					s.park(sn, "idle")
-					return
-				}
-				s.reaped.Add(1)
-				s.logf("session %d: idle for %v, reaping", id, s.cfg.IdleTimeout)
+				// Park before saying so: a client that reads the idle
+				// notice and redials at once must find the session.
+				s.park(sn, "idle")
 				conn.WriteFrame(FrameErrorInfo, EncodeControl(&ErrorInfo{
 					Code: "idle", Msg: fmt.Sprintf("no frame for %v", s.cfg.IdleTimeout)}))
 				return
 			}
 			// Clean EOF between frames and broken streams alike: the
 			// connection is gone, but the session can continue on a new one.
-			if s.resumable() {
-				s.park(sn, fmt.Sprintf("connection lost: %v", err))
-				return
-			}
-			s.logf("session %d: read: %v", id, err)
+			s.park(sn, fmt.Sprintf("connection lost: %v", err))
 			return
 		}
 		switch h.Type {
@@ -448,9 +437,7 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 			// a stopped client never deadlocks holding zero tokens.
 			if err := conn.WriteFrame(FrameCredit, EncodeControl(&Credit{Tokens: 1, Ack: sn.dataRecvd})); err != nil {
 				s.logf("session %d: credit write: %v", id, err)
-				if s.resumable() {
-					s.park(sn, "credit write failed")
-				}
+				s.park(sn, "credit write failed")
 				return
 			}
 			if m != nil && sn.verdict == nil {
@@ -462,9 +449,7 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 					Mismatch: NewMismatchReport(m), Events: sn.verdictEvents,
 				})); err != nil {
 					s.logf("session %d: verdict write: %v", id, err)
-					if s.resumable() {
-						s.park(sn, "verdict write failed")
-					}
+					s.park(sn, "verdict write failed")
 					return
 				}
 			}
@@ -491,15 +476,16 @@ func (s *Server) runSession(conn FrameTransport, sn *session) {
 				v.Coverage = cr.CoverageSnapshot()
 			}
 			sn.final = &v
+			// The verdict is all a completed session still needs: drop the
+			// checker (REF memory and all) rather than park it.
+			sn.sess = nil
 			s.served.Add(1)
-			if s.resumable() {
-				// Even after a successful write the client may never see the
-				// Done frame (stalled link); keep the completed session
-				// resumable so the final verdict can be replayed. Park before
-				// the write: a client that reads Done and redials at once must
-				// already find the session.
-				s.park(sn, "completed")
-			}
+			// Even after a successful write the client may never see the
+			// Done frame (stalled link); keep the completed session parked so
+			// the final verdict can be replayed. Park before the write: a
+			// client that reads Done and redials at once must already find
+			// the session.
+			s.park(sn, "completed")
 			err := conn.WriteFrame(FrameDone, EncodeControl(&v))
 			if err != nil {
 				s.logf("session %d: done write: %v", id, err)
@@ -549,14 +535,6 @@ func (s *Server) consume(sess SessionChecker, typ uint8, payload []byte, stopped
 		fallthrough
 	default:
 		return nil, fmt.Errorf("frame type %d is not a data frame", typ)
-	}
-}
-
-// releaseBuf returns a frame payload to the buffer pool; nil (zero-length
-// frame) needs no release.
-func releaseBuf(buf []byte) {
-	if buf != nil {
-		event.PutBuf(buf)
 	}
 }
 

@@ -92,6 +92,14 @@ func stubSessions(stub func() *stubChecker) NewSessionFunc {
 	return func(Hello) (SessionChecker, error) { return stub(), nil }
 }
 
+// releaseBuf returns a frame payload read off a raw test connection to the
+// buffer pool; nil (zero-length frame) needs no release.
+func releaseBuf(buf []byte) {
+	if buf != nil {
+		event.PutBuf(buf)
+	}
+}
+
 func testHello() Hello {
 	return Hello{DUT: "stub", Platform: "stub", Config: "Z", Workload: "stub"}
 }
@@ -281,10 +289,13 @@ func TestServerMaxSessions(t *testing.T) {
 	}
 }
 
+// TestServerReapsIdleSessions: a zero-config client that idles past the
+// server's IdleTimeout finds its connection closed and its session parked;
+// its next send resumes the session and the stream finishes clean.
 func TestServerReapsIdleSessions(t *testing.T) {
 	srv, spec := startServer(t, ServerConfig{
 		NewSession:  stubSessions(func() *stubChecker { return &stubChecker{} }),
-		IdleTimeout: 50 * time.Millisecond,
+		IdleTimeout: 200 * time.Millisecond,
 	})
 	cl, err := Dial(spec, testHello(), ClientConfig{})
 	if err != nil {
@@ -292,20 +303,31 @@ func TestServerReapsIdleSessions(t *testing.T) {
 	}
 	defer cl.Close()
 
-	// Send nothing; the server must reap the session and say why.
+	// Send nothing; the server must park the session.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, _, reaped := srv.Stats()
-		if reaped == 1 {
+		if parked, _ := srv.ResumeStats(); parked == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("idle session was never reaped")
+			t.Fatal("idle session was never parked")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := cl.Finish(); err == nil {
-		t.Fatal("Finish succeeded on a reaped session")
+	for i := 0; i < 3; i++ {
+		if stop, err := cl.SendItems([]wire.Item{{Type: 0, Payload: []byte{byte(i)}}}); err != nil || stop {
+			t.Fatalf("send %d after idling: stop=%v err=%v", i, stop, err)
+		}
+	}
+	v, err := cl.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Finished || v.Mismatch != nil || v.Events != 3 {
+		t.Fatalf("verdict %+v, want a clean finish over 3 events", v)
+	}
+	if n := cl.Reconnects(); n != 1 {
+		t.Fatalf("Reconnects() = %d, want 1 (the idle park)", n)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestServerShutdownLeavesNoLeaks(t *testing.T) {
 	go func() { served <- srv.Serve(l) }()
 
 	session := func(finish bool) {
-		cl, err := Dial(spec, testHello(), ClientConfig{Resume: true})
+		cl, err := Dial(spec, testHello(), ClientConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
